@@ -10,12 +10,18 @@ where the head is a formal highest-weight element with weight zero and
 eps_i = phi_i = 0 for every index.  Strings are canonical: the last
 coordinate is nonzero (the empty string is the highest-weight element).
 
-Operators are evaluated by the binary tensor routing rule, folded across
-the product from the outermost factor inward.  Before operating at index
-i the string is extended by zero coordinates up to the first i-slot lying
-head-side of every stored coordinate; with that extension the lowering
-operator always lands on a factor, never on the head, so f_i is total
-and the realization is closed under it.
+Operators fold the binary tensor routing rule (`tensor.route`) across the
+product from the outermost factor inward, reading tables of the matrix
+rows and the iota period built once per realization.  Before operating at
+index i the string is extended by zero coordinates up to the first i-slot
+lying head-side of every stored coordinate; with that extension the
+lowering operator always lands on a factor, never on the head, so f_i is
+total and the realization is closed under it.
+
+Transport between realizations strips an element to the head and replays
+the raising word as lowerings in the target.  Each realization memoizes
+the raising step at every element it strips and every image it replays,
+so shared word suffixes are computed once and the result is unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .cartan import BorcherdsCartanDatum, Weight, pairing
 from .crystal import NEG_INF, Crystal, reachable
 from .elementary import ElementaryCrystal, ElementaryElement
 from .errors import InternalInconsistencyError, StrippingStuckError
-from .tensor import TensorCrystal, TensorElement
+from .tensor import TensorCrystal, TensorElement, route
 
 
 @dataclass(frozen=True)
@@ -101,7 +107,14 @@ class BInfElement:
 
 
 class BInfinityCrystal(Crystal):
-    """B(inf) realized on coordinate strings along a fixed iota sequence."""
+    """B(inf) realized on coordinate strings along a fixed iota sequence.
+
+    Realizations over one datum form a family: `realization_with` returns
+    one cached member per iota, and all members share one `gap_events`
+    list.  With recording on, it holds each distinct (element key, index)
+    pair at which the imaginary annihilation gap fired, once, in
+    first-firing order, so the transport memos cannot change it.
+    """
 
     def __init__(self, datum: BorcherdsCartanDatum, iota: IotaSequence | None = None,
                  record_gap_events: bool = False):
@@ -109,9 +122,16 @@ class BInfinityCrystal(Crystal):
         self.iota = iota if iota is not None else IotaSequence.cyclic(datum.index_count)
         self.iota.validate_for(datum.index_count)
         self.record_gap_events = record_gap_events
-        # Diagnostic log of (element key, index) pairs where the imaginary
-        # annihilation gap fired during a raising descent.
         self.gap_events: list[tuple[str, int]] = []
+        self._family: dict[IotaSequence, BInfinityCrystal] = {self.iota: self}
+        self._steps: dict[tuple[int, ...], tuple[int, BInfElement]] = {}  # next raising step
+        self._images: dict[tuple[IotaSequence, tuple[int, ...]], BInfElement] = {}
+        # Per index i: real flag, a_ii, then a(i, iota_p) and [iota_p == i] per period slot p.
+        rows, period = datum.matrix, self.iota.period
+        self._tables = [None] + [
+            (datum.is_real(i), rows[i - 1][i - 1], tuple(rows[i - 1][j - 1] for j in period),
+             tuple(j == i for j in period))
+            for i in range(1, datum.index_count + 1)]
 
     # -- elements ---------------------------------------------------------
 
@@ -119,13 +139,8 @@ class BInfinityCrystal(Crystal):
         return BInfElement(self.iota, ())
 
     def _own(self, b: BInfElement) -> None:
-        if b.iota != self.iota:
+        if b.iota is not self.iota and b.iota != self.iota:
             raise ValueError("element belongs to a realization with a different iota sequence")
-
-    def _canonical(self, entries: list[int]) -> BInfElement:
-        while entries and entries[-1] == 0:
-            entries.pop()
-        return BInfElement(self.iota, tuple(entries))
 
     def key(self, b: BInfElement) -> str:
         return "-".join(map(str, b.entries)) if b.entries else "hw"
@@ -134,58 +149,46 @@ class BInfinityCrystal(Crystal):
 
     def wt(self, b: BInfElement) -> Weight:
         self._own(b)
-        coords = [0] * self.datum.index_count
-        for pos, a in enumerate(b.entries, start=1):
-            coords[self.iota.index_at(pos) - 1] -= a
+        period, coords = self.iota.period, [0] * self.datum.index_count
+        for pos, a in enumerate(b.entries):
+            coords[period[pos % len(period)] - 1] -= a
         return tuple(coords)
 
-    def _factor_stats(self, i: int, position: int, level: int):
-        """(eps_i, phi_i, <h_i, wt>) of the elementary factor at one position."""
-        j = self.iota.index_at(position)
-        wti = -level * self.datum.a(i, j)
-        if j != i:
-            return NEG_INF, NEG_INF, wti
-        if self.datum.is_real(i):
-            return level, -level, wti
-        return 0, -level * self.datum.a(i, i), wti
-
     def _prefix_arrays(self, i: int, entries: list[int]):
-        """Tensor statistics of every head-side prefix.
+        """(eps_i, <h_i, wt>, phi_pre, ef) of the string, in one pass from the head.
 
-        Position k of each returned array holds the statistic of the
-        partial product consisting of the head together with the factors
-        at positions k, k+1, ..., L; slot L+1 is the bare head.
+        phi_pre[k] is phi_i of the head with the factors at 0-based positions
+        k, ..., L-1 (slot L is the bare head); ef[k] is eps_i of factor k.
         """
-        L = len(entries)
-        eps_pre = [0] * (L + 2)
-        phi_pre = [0] * (L + 2)
-        wti_pre = [0] * (L + 2)
-        for k in range(L, 0, -1):
-            ef, pf, wf = self._factor_stats(i, k, entries[k - 1])
-            eps_pre[k] = max(eps_pre[k + 1], ef - wti_pre[k + 1])
-            phi_pre[k] = max(phi_pre[k + 1] + wf, pf)
-            wti_pre[k] = wti_pre[k + 1] + wf
-        return eps_pre, phi_pre, wti_pre
+        real, _, cols, slots = self._tables[i]
+        plen = len(slots)
+        eps = wti = 0
+        phi_pre = [0] * (len(entries) + 1)
+        ef = [NEG_INF] * len(entries)
+        for k in range(len(entries) - 1, -1, -1):
+            wf = -entries[k] * cols[k % plen]
+            phi_pre[k] = phi_pre[k + 1] + wf
+            if slots[k % plen]:
+                e = ef[k] = entries[k] if real else 0
+                eps = max(eps, e - wti)
+                phi_pre[k] = max(phi_pre[k], e + wf)
+            wti += wf
+        return eps, wti, phi_pre, ef
 
     def eps(self, i: int, b: BInfElement):
         self._own(b)
         self.datum.check_index(i)
-        entries = list(b.entries)
-        eps_pre, phi_pre, wti_pre = self._prefix_arrays(i, entries)
-        val = eps_pre[1]
-        if phi_pre[1] != val + wti_pre[1]:
+        val, wti, phi_pre, _ = self._prefix_arrays(i, b.entries)
+        if phi_pre[0] != val + wti:
             raise InternalInconsistencyError(
                 f"tensor statistics break phi = eps + <h_i,wt> at {self.key(b)}, index {i}"
             )
         if not self.datum.is_real(i):
             if val != 0:
-                raise InternalInconsistencyError(
-                    f"imaginary eps_{i} = {val} != 0 at {self.key(b)}"
-                )
+                raise InternalInconsistencyError(f"imaginary eps_{i} = {val} != 0 at {self.key(b)}")
             return 0
         # Real index: the tensor value must equal the raising string length.
-        steps = 0
-        x = b
+        steps, x = 0, b
         while steps <= val:
             y = self.e(i, x)
             if y is None:
@@ -203,101 +206,101 @@ class BInfinityCrystal(Crystal):
 
     # -- operators --------------------------------------------------------
 
-    def _extended(self, i: int, b: BInfElement) -> list[int]:
-        """Entries padded with zeros up to the first free i-slot beyond the string."""
-        entries = list(b.entries)
-        target = self.iota.first_slot(i, after=len(entries))
-        entries.extend([0] * (target - len(entries)))
-        return entries
+    def _act(self, raising: bool, i: int, b: BInfElement):
+        """Fold `route` across the product from the outermost factor inward.
+
+        Off the i-slots eps_i is -inf, so the action routes head-side there.
+        """
+        self._own(b)
+        self.datum.check_index(i)
+        real, aii, _, slots = self._tables[i]
+        entries = list(b.entries) + [0]  # pad up to the first i-slot beyond the string
+        while not slots[(len(entries) - 1) % len(slots)]:
+            entries.append(0)
+        _, _, phi_pre, ef = self._prefix_arrays(i, entries)
+        for m, e in enumerate(ef):
+            side = e is NEG_INF or route(raising, real, aii, phi_pre[m + 1], e)
+            if side:
+                continue
+            if side is None:  # eps < phi <= eps - a_ii: annihilation gap
+                if self.record_gap_events and (self.key(b), i) not in self.gap_events:
+                    self.gap_events.append((self.key(b), i))
+                return None
+            if raising and entries[m] == 0:
+                return None  # raising a level-0 factor vanishes
+            entries[m] += -1 if raising else 1
+            while entries and entries[-1] == 0:
+                entries.pop()
+            return BInfElement(self.iota, tuple(entries))
+        if raising:
+            return None  # descent reached the head; raising the head vanishes
+        raise InternalInconsistencyError("lowering descent reached the head despite slot extension")
 
     def f(self, i: int, b: BInfElement) -> BInfElement:
         """Lowering operator; total on this realization (never zero)."""
-        self._own(b)
-        self.datum.check_index(i)
-        entries = self._extended(i, b)
-        _, phi_pre, _ = self._prefix_arrays(i, entries)
-        for m in range(1, len(entries) + 1):
-            ef, _, _ = self._factor_stats(i, m, entries[m - 1])
-            if phi_pre[m + 1] > ef:
-                continue  # the action routes further head-side
-            entries[m - 1] += 1
-            return self._canonical(entries)
-        raise InternalInconsistencyError("lowering descent reached the head despite slot extension")
+        return self._act(False, i, b)
 
     def e(self, i: int, b: BInfElement):
         """Raising operator; None when it annihilates."""
-        self._own(b)
-        self.datum.check_index(i)
-        entries = self._extended(i, b)
-        _, phi_pre, _ = self._prefix_arrays(i, entries)
-        real = self.datum.is_real(i)
-        aii = self.datum.a(i, i)
-        for m in range(1, len(entries) + 1):
-            ef, _, _ = self._factor_stats(i, m, entries[m - 1])
-            ph = phi_pre[m + 1]
-            if real:
-                if ph >= ef:
-                    continue
-            else:
-                if ph > ef - aii:
-                    continue
-                if ef < ph:
-                    # eps < phi <= eps - a_ii: annihilation gap.
-                    if self.record_gap_events:
-                        self.gap_events.append((self.key(b), i))
-                    return None
-            if entries[m - 1] == 0:
-                return None  # raising a level-0 factor vanishes
-            entries[m - 1] -= 1
-            return self._canonical(entries)
-        return None  # descent reached the head; raising the head vanishes
+        return self._act(True, i, b)
 
     # -- transport between realizations ------------------------------------
 
     def realization_with(self, iota: IotaSequence) -> "BInfinityCrystal":
-        other = BInfinityCrystal(self.datum, iota, record_gap_events=self.record_gap_events)
-        other.gap_events = self.gap_events  # share the diagnostic log
+        """The family's realization over `iota`, built on first request."""
+        other = self._family.get(iota)
+        if other is None:
+            other = BInfinityCrystal(self.datum, iota, record_gap_events=self.record_gap_events)
+            other.gap_events, other._family = self.gap_events, self._family
+            self._family[iota] = other
         return other
 
     def strip_to_head(self, b: BInfElement) -> list[int]:
         """Raising word (first applied index first) taking b to the head."""
         self._own(b)
-        word: list[int] = []
-        x = b
+        word, x = [], b
         bound = -sum(self.wt(b)) + 1
         while x.entries:
             if len(word) > bound:
                 raise InternalInconsistencyError("raising word exceeds the weight height")
-            for j in range(1, self.datum.index_count + 1):
-                y = self.e(j, x)
-                if y is not None:
-                    word.append(j)
-                    x = y
-                    break
-            else:
-                raise StrippingStuckError(f"every raising operator vanishes at {self.key(x)}")
+            step = self._steps.get(x.entries)
+            if step is None:
+                for j in range(1, self.datum.index_count + 1):
+                    y = self.e(j, x)
+                    if y is not None:
+                        step = self._steps[x.entries] = (j, y)
+                        break
+                else:
+                    raise StrippingStuckError(f"every raising operator vanishes at {self.key(x)}")
+            word.append(step[0])
+            x = step[1]
         return word
 
     def transport(self, b: BInfElement, target: "BInfinityCrystal") -> BInfElement:
         """Image of b under the canonical isomorphism onto another realization.
 
         Strips b to the head, then replays the recorded lowering word in
-        the target realization (in reverse application order).
+        the target realization (in reverse application order).  The image
+        of every element along the strip is memoized per target iota, so a
+        word suffix shared with an earlier transport is replayed once.
         """
         self._own(b)
         if target.datum != self.datum:
             raise ValueError("target realization lives over a different datum")
-        word = self.strip_to_head(b)
-        z = target.highest_weight()
-        for j in reversed(word):
-            z = target.f(j, z)
+        self.strip_to_head(b)
+        images, chain, x = self._images, [], b
+        while x.entries and (target.iota, x.entries) not in images:
+            chain.append(x)
+            x = self._steps[x.entries][1]
+        z = images[(target.iota, x.entries)] if x.entries else target.highest_weight()
+        for x in reversed(chain):
+            z = images[(target.iota, x.entries)] = target.f(self._steps[x.entries][0], z)
         return z
 
     def eps_star(self, b: BInfElement, i: int) -> int:
         """Starred statistic: the outermost coordinate after moving to an i-first iota."""
         self.datum.check_index(i)
-        first = self.realization_with(self.iota.i_first(i))
-        t = self.transport(b, first)
+        t = self.transport(b, self.realization_with(self.iota.i_first(i)))
         return t.entries[0] if t.entries else 0
 
     def psi_embed(self, b: BInfElement, i: int) -> tuple[BInfElement, ElementaryElement]:
@@ -311,10 +314,8 @@ class BInfinityCrystal(Crystal):
         first = self.realization_with(self.iota.i_first(i))
         t = self.transport(b, first)
         c = t.entries[0] if t.entries else 0
-        rest = t.entries[1:]
         shifted = first.realization_with(first.iota.shifted())
-        residual = BInfElement(shifted.iota, rest)
-        back = shifted.transport(residual, self)
+        back = shifted.transport(BInfElement(shifted.iota, t.entries[1:]), self)
         return back, ElementaryElement(i, c)
 
     def psi_morphism(self, i: int):
@@ -354,12 +355,8 @@ def transport_isomorphism_findings(src: BInfinityCrystal, dst: BInfinityCrystal,
     findings: list[str] = []
     src_elems, src_edges, _ = src.enumerate_to_depth(depth, cap)
     dst_elems, dst_edges, _ = dst.enumerate_to_depth(depth, cap)
-    mapped: dict[str, str] = {}
-    images: dict[str, BInfElement] = {}
-    for b in src_elems:
-        t = src.transport(b, dst)
-        mapped[src.key(b)] = dst.key(t)
-        images[src.key(b)] = t
+    images = {src.key(b): src.transport(b, dst) for b in src_elems}
+    mapped = {k: dst.key(t) for k, t in images.items()}
     if len(set(mapped.values())) != len(mapped):
         findings.append("transport is not injective on the enumerated nodes")
     dst_keys = {dst.key(b) for b in dst_elems}

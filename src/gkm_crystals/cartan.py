@@ -262,7 +262,8 @@ def load_quiver(source) -> Quiver:
         raise InputError('"omega_arrows" must be a list')
     cleaned = []
     for p in pairs:
-        if not isinstance(p, list) or len(p) != 2 or not all(isinstance(v, int) for v in p):
+        if not isinstance(p, list) or len(p) != 2 or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in p):
             raise InputError(f"bad arrow entry {p!r}; expected [source, target]")
         cleaned.append((p[0], p[1]))
     return Quiver.from_omega_arrows(vertices, cleaned)

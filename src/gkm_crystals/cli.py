@@ -239,6 +239,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("depth", "cap", "height"):
+            if getattr(args, name, 0) < 0:
+                raise InputError(f"--{name} must be nonnegative, got {getattr(args, name)}")
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -8,8 +8,9 @@ The statistics combine by
 
 and the operators route to one side by comparing phi_i of the left factor
 with eps_i of the right factor.  The placement of the strict/weak
-inequalities below is load bearing; the imaginary raising rule has an
-annihilation gap (result zero) between its left and right branches.
+inequalities lives in `route` alone, which the coordinate-string fold of
+B(inf) shares; the imaginary raising rule has an annihilation gap (result
+zero) between its left and right branches.
 """
 
 from __future__ import annotations
@@ -28,7 +29,27 @@ class TensorElement:
     right: object
 
 
+def route(raising: bool, real: bool, aii: int, phi_left, eps_right):
+    """Side a tensor operator acts on: True left, False right, None the gap.
+
+    Lowering goes left when phi(left) > eps(right).  Real raising goes left
+    when phi >= eps.  Imaginary raising goes left when phi > eps - a_ii,
+    annihilates when eps < phi <= eps - a_ii, and otherwise goes right.
+    """
+    if not raising:
+        return phi_left > eps_right
+    if real:
+        return phi_left >= eps_right
+    if phi_left > eps_right - aii:
+        return True
+    return None if eps_right < phi_left else False
+
+
 class TensorCrystal(Crystal):
+    """Binary tensor product.  With recording on, `gap_events` lists each
+    distinct (element key, index) pair at which the imaginary annihilation
+    gap fired, once, in first-firing order (shared by `psi_morphism`)."""
+
     def __init__(self, left: Crystal, right: Crystal, record_gap_events: bool = False):
         if left.datum != right.datum:
             raise ValueError("tensor factors live over different data")
@@ -36,8 +57,6 @@ class TensorCrystal(Crystal):
         self.left = left
         self.right = right
         self.record_gap_events = record_gap_events
-        # Diagnostic log of (element key, index) pairs where the imaginary
-        # annihilation gap fired; populated only when recording is on.
         self.gap_events: list[tuple[str, int]] = []
 
     def pair(self, left, right) -> TensorElement:
@@ -52,35 +71,25 @@ class TensorCrystal(Crystal):
     def phi(self, i: int, b: TensorElement):
         return max(self.left.phi(i, b.left) + pairing(self.datum, i, self.right.wt(b.right)), self.right.phi(i, b.right))
 
-    def f(self, i: int, b: TensorElement):
-        # Lowering acts left exactly when phi(left) > eps(right), for every index.
-        if self.left.phi(i, b.left) > self.right.eps(i, b.right):
-            nl = self.left.f(i, b.left)
-            return None if nl is None else TensorElement(nl, b.right)
-        nr = self.right.f(i, b.right)
-        return None if nr is None else TensorElement(b.left, nr)
-
-    def e(self, i: int, b: TensorElement):
-        ph = self.left.phi(i, b.left)
-        ep = self.right.eps(i, b.right)
-        if self.datum.is_real(i):
-            if ph >= ep:
-                nl = self.left.e(i, b.left)
-                return None if nl is None else TensorElement(nl, b.right)
-            nr = self.right.e(i, b.right)
-            return None if nr is None else TensorElement(b.left, nr)
-        aii = self.datum.a(i, i)
-        if ph > ep - aii:
-            nl = self.left.e(i, b.left)
-            return None if nl is None else TensorElement(nl, b.right)
-        if ep < ph:
-            # eps(right) < phi(left) <= eps(right) - a_ii: the raising
-            # operator annihilates the pair outright.
-            if self.record_gap_events:
+    def _act(self, raising: bool, i: int, b: TensorElement):
+        side = route(raising, self.datum.is_real(i), self.datum.a(i, i),
+                     self.left.phi(i, b.left), self.right.eps(i, b.right))
+        if side is None:
+            if self.record_gap_events and (self.key(b), i) not in self.gap_events:
                 self.gap_events.append((self.key(b), i))
             return None
-        nr = self.right.e(i, b.right)
+        op = "e" if raising else "f"
+        if side:
+            nl = getattr(self.left, op)(i, b.left)
+            return None if nl is None else TensorElement(nl, b.right)
+        nr = getattr(self.right, op)(i, b.right)
         return None if nr is None else TensorElement(b.left, nr)
+
+    def f(self, i: int, b: TensorElement):
+        return self._act(False, i, b)
+
+    def e(self, i: int, b: TensorElement):
+        return self._act(True, i, b)
 
     def key(self, b: TensorElement) -> str:
         return f"[{self.left.key(b.left)}]x[{self.right.key(b.right)}]"

@@ -225,6 +225,28 @@ def test_gap_events_recorded_on_raising_descent():
     assert all(i == 1 for _, i in c.gap_events)
 
 
+# Gap events of the acceptance gate's criterion 7 run on GAP (depth 4, every
+# psi_morphism), recorded from the uncached strip-and-replay implementation
+# with repeat firings dropped: distinct (key, index) pairs, first-firing order.
+GAP_EVENTS_CRITERION_7 = [
+    ("0-1", 1), ("1-1", 1), ("[0-1]x[b1(0)]", 1), ("0-2", 1), ("2-1", 1),
+    ("[0-1]x[b1(-1)]", 1), ("1-2", 1), ("[0-2]x[b1(0)]", 1), ("3-1", 1),
+    ("[0-1]x[b1(-2)]", 1), ("2-2", 1), ("[0-2]x[b1(-1)]", 1), ("0-1-2-1", 1),
+    ("0-1-2-0-1", 1), ("4-1", 1), ("[0-1]x[b1(-3)]", 1), ("3-2", 1),
+    ("[0-2]x[b1(-2)]", 1), ("1-1-2-1", 1), ("0-1-3-1", 1), ("0-1-3-0-1", 1),
+    ("0-2-2-1", 1), ("0-2-2-0-1", 1), ("1-1-0-2-1", 1),
+]
+
+
+def test_gap_events_are_distinct_pairs_in_first_firing_order():
+    c = BInfinityCrystal(GAP, record_gap_events=True)
+    elements, _, _ = c.enumerate_to_depth(4)
+    for i in (1, 2):
+        psi, target = c.psi_morphism(i)
+        assert check_strict_morphism(psi, elements, c, target) == []
+    assert c.gap_events == GAP_EVENTS_CRITERION_7
+
+
 def test_enumeration_cap():
     c = BInfinityCrystal(TWO_IMAG)
     with pytest.raises(DepthExceededError):

@@ -140,3 +140,32 @@ def test_cap_exits_three(files, capsys):
     code = cli.main(["graph", "--cartan", files["two_imag.json"], "--depth", "6", "--cap", "10"])
     assert code == 3
     assert "cap exceeded" in capsys.readouterr().err
+
+
+def _one_line_input_error(capsys) -> bool:
+    err = capsys.readouterr().err
+    return err.startswith("input error:") and len(err.strip().splitlines()) == 1
+
+
+def test_quiver_boolean_vertex_rejected(tmp_path, capsys):
+    path = tmp_path / "bool_quiver.json"
+    path.write_text('{"vertices": 2, "omega_arrows": [[true, 2]]}')
+    assert cli.main(["graph", "--quiver", str(path), "--depth", "1"]) == 2
+    assert _one_line_input_error(capsys)
+
+
+def test_negative_depth_rejected(files, capsys):
+    assert cli.main(["verify", "--cartan", files["exb.json"], "--depth", "-3"]) == 2
+    assert _one_line_input_error(capsys)
+    assert cli.main(["graph", "--cartan", files["exb.json"], "--depth", "-1"]) == 2
+    assert _one_line_input_error(capsys)
+
+
+def test_negative_cap_rejected(files, capsys):
+    assert cli.main(["graph", "--cartan", files["exb.json"], "--depth", "1", "--cap", "-1"]) == 2
+    assert _one_line_input_error(capsys)
+
+
+def test_negative_height_rejected(files, capsys):
+    assert cli.main(["dims", "--cartan", files["exb.json"], "--height", "-1"]) == 2
+    assert _one_line_input_error(capsys)

@@ -1,0 +1,88 @@
+"""Memoized transport against strip-and-replay done by hand with e and f."""
+
+from itertools import permutations
+
+import pytest
+
+from gkm_crystals.binfinity import BInfElement, BInfinityCrystal, IotaSequence
+from gkm_crystals.cartan import validate_datum
+from gkm_crystals.elementary import ElementaryElement
+
+# The acceptance gate's cross-check matrices plus its gap matrix.
+MATRICES = [
+    [[2]],
+    [[0]],
+    [[-2]],
+    [[2, -1], [-1, 2]],
+    [[0, -1], [-1, 2]],
+    [[0, -1], [-1, 0]],
+    [[-2, -1], [-1, 2]],
+]
+DEPTH = 4
+
+
+def iotas(n):
+    """Every permutation period, plus one period with a repeated index."""
+    return [IotaSequence(p) for p in permutations(range(1, n + 1))] + [IotaSequence(tuple(range(1, n + 1)) + (1,))]
+
+
+def by_hand(datum, b, dst_iota):
+    """Strip b with e on a fresh realization, replay the word with f on another."""
+    src, dst = BInfinityCrystal(datum, b.iota), BInfinityCrystal(datum, dst_iota)
+    word = []
+    while b.entries:
+        j = next(j for j in range(1, datum.index_count + 1) if src.e(j, b) is not None)
+        word.append(j)
+        b = src.e(j, b)
+    z = dst.highest_weight()
+    for j in reversed(word):
+        z = dst.f(j, z)
+    return z
+
+
+def psi_by_hand(datum, b, i):
+    first = b.iota.i_first(i)
+    t = by_hand(datum, b, first)
+    residual = BInfElement(first.shifted(), t.entries[1:])
+    return by_hand(datum, residual, b.iota), ElementaryElement(i, t.entries[0] if t.entries else 0)
+
+
+def results(family, work):
+    """Every transport, psi_embed and eps_star of the elements in `work`, in order.
+
+    `work` lists (iota, elements) pairs; each is run on the family's
+    realization over that iota, so every member's memos are exercised.
+    """
+    n = family.datum.index_count
+    out = {}
+    for iota, elements in work:
+        c = family.realization_with(iota)
+        for b in elements:
+            for dst in iotas(n):
+                out["transport", b, dst] = c.transport(b, family.realization_with(dst))
+            for i in range(1, n + 1):
+                out["psi", b, i] = c.psi_embed(b, i)
+                out["eps_star", b, i] = c.eps_star(b, i)
+    return out
+
+
+@pytest.mark.parametrize("matrix", MATRICES, ids=str)
+def test_memoized_transport_matches_strip_and_replay(matrix):
+    datum = validate_datum(matrix)
+    n = datum.index_count
+    work = [(iota, BInfinityCrystal(datum, iota).enumerate_to_depth(DEPTH)[0]) for iota in iotas(n)]
+    family = BInfinityCrystal(datum)
+    cold = results(family, work)
+    warm = results(family, work)
+    # a cache must not leak state from one element into another
+    reversed_work = [(iota, elements[::-1]) for iota, elements in reversed(work)]
+    assert results(BInfinityCrystal(datum), reversed_work) == cold == warm
+    for iota, elements in work:
+        for b in elements:
+            assert warm["transport", b, iota] == b
+            for dst in iotas(n):
+                assert warm["transport", b, dst] == by_hand(datum, b, dst)
+            for i in range(1, n + 1):
+                residual, factor = psi_by_hand(datum, b, i)
+                assert warm["psi", b, i] == (residual, factor)
+                assert warm["eps_star", b, i] == factor.level
