@@ -1,137 +1,27 @@
 """Crystal bases of quantum generalized Kac-Moody algebras.
 
-Public surface: Borcherds-Cartan data and quivers, the abstract-crystal
-toolkit (axiom and morphism checks, graph generation and export), the
-elementary and tensor crystals, the coordinate-string realization of
-B(inf) with its strict embeddings, an independent graded-dimension
-oracle, and pointwise invariants of quiver representations.
+The package root exports the library entry points the README shows: a
+validated Borcherds-Cartan datum, the coordinate-string realization of
+B(inf) over an index sequence, its graded counts, the independent
+graded-dimension oracle, and the axiom and strict-morphism checks.
+Everything else is imported from its module: `cartan` (data and
+quivers), `crystal` (the abstract toolkit, enumeration and export),
+`elementary` and `tensor` (the building-block crystals), `binfinity`,
+`oracle`, `geometry` (pointwise invariants of quiver representations),
+`exactlin` and `errors`.
 """
 
-from .binfinity import (
-    BInfElement,
-    BInfinityCrystal,
-    IotaSequence,
-    graded_counts,
-    transport_isomorphism_findings,
-)
-from .cartan import (
-    Arrow,
-    BorcherdsCartanDatum,
-    Quiver,
-    Weight,
-    add_weights,
-    bilinear_form,
-    dim_x,
-    in_positive_cone,
-    load_cartan,
-    load_quiver,
-    negate_weight,
-    pairing,
-    quiver_to_cartan,
-    simple_root,
-    validate_datum,
-    weight_height,
-    zero_weight,
-)
-from .crystal import (
-    NEG_INF,
-    Crystal,
-    CrystalGraph,
-    GraphNode,
-    Violation,
-    check_strict_morphism,
-    export_graph,
-    generate_graph,
-    reachable,
-    verify_axioms,
-)
-from .elementary import ElementaryCrystal, ElementaryElement
-from .geometry import (
-    FlagWitness,
-    QuiverRep,
-    eps_point,
-    eps_star_point,
-    flag_exists,
-    load_rep,
-    moment_map,
-    moment_map_check,
-    regular_semisimple_check,
-    regular_semisimple_verdicts,
-    star_rep,
-    symplectic_form,
-    verify_flag,
-)
-from .oracle import (
-    Laurent,
-    Relation,
-    build_relations,
-    graded_dim,
-    q_binomial,
-    q_factorial,
-    q_int,
-    words_of_weight,
-)
-from .tensor import TensorCrystal, TensorElement
-
-from . import errors
+from .binfinity import BInfinityCrystal, IotaSequence, graded_counts
+from .cartan import validate_datum
+from .crystal import check_strict_morphism, verify_axioms
+from .oracle import graded_dim
 
 __all__ = [
-    "Arrow",
-    "BInfElement",
     "BInfinityCrystal",
-    "BorcherdsCartanDatum",
-    "Crystal",
-    "CrystalGraph",
-    "ElementaryCrystal",
-    "ElementaryElement",
-    "FlagWitness",
-    "GraphNode",
     "IotaSequence",
-    "Laurent",
-    "NEG_INF",
-    "Quiver",
-    "QuiverRep",
-    "Relation",
-    "TensorCrystal",
-    "TensorElement",
-    "Violation",
-    "Weight",
-    "add_weights",
-    "bilinear_form",
-    "build_relations",
     "check_strict_morphism",
-    "dim_x",
-    "eps_point",
-    "eps_star_point",
-    "errors",
-    "export_graph",
-    "flag_exists",
-    "generate_graph",
     "graded_counts",
     "graded_dim",
-    "in_positive_cone",
-    "load_cartan",
-    "load_quiver",
-    "load_rep",
-    "moment_map",
-    "moment_map_check",
-    "negate_weight",
-    "pairing",
-    "q_binomial",
-    "q_factorial",
-    "q_int",
-    "quiver_to_cartan",
-    "reachable",
-    "regular_semisimple_check",
-    "regular_semisimple_verdicts",
-    "simple_root",
-    "star_rep",
-    "symplectic_form",
-    "transport_isomorphism_findings",
     "validate_datum",
     "verify_axioms",
-    "verify_flag",
-    "weight_height",
-    "words_of_weight",
-    "zero_weight",
 ]

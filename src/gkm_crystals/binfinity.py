@@ -355,20 +355,18 @@ def transport_isomorphism_findings(src: BInfinityCrystal, dst: BInfinityCrystal,
     findings: list[str] = []
     src_elems, src_edges, _ = src.enumerate_to_depth(depth, cap)
     dst_elems, dst_edges, _ = dst.enumerate_to_depth(depth, cap)
-    images = {src.key(b): src.transport(b, dst) for b in src_elems}
-    mapped = {k: dst.key(t) for k, t in images.items()}
-    if len(set(mapped.values())) != len(mapped):
+    images = {b: src.transport(b, dst) for b in src_elems}
+    hit, dst_set = set(images.values()), set(dst_elems)
+    if len(hit) != len(images):
         findings.append("transport is not injective on the enumerated nodes")
-    dst_keys = {dst.key(b) for b in dst_elems}
-    extra = sorted(set(mapped.values()) - dst_keys)
-    missing = sorted(dst_keys - set(mapped.values()))
+    extra = sorted(map(dst.key, hit - dst_set))
+    missing = sorted(map(dst.key, dst_set - hit))
     if extra:
         findings.append(f"transport images outside the target enumeration: {extra[:3]}")
     if missing:
         findings.append(f"target nodes never hit by transport: {missing[:3]}")
     n = src.datum.index_count
-    for b in src_elems:
-        t = images[src.key(b)]
+    for b, t in images.items():
         if src.wt(b) != dst.wt(t):
             findings.append(f"weight changes under transport at {src.key(b)}")
         for i in range(1, n + 1):
@@ -376,8 +374,8 @@ def transport_isomorphism_findings(src: BInfinityCrystal, dst: BInfinityCrystal,
                 findings.append(f"statistics change under transport at {src.key(b)}, index {i}")
     dst_edge_set = set(dst_edges)
     for s, d, i in src_edges:
-        if d not in mapped:
+        if d not in images:
             continue  # edge leaves the depth window
-        if (mapped[s], mapped[d], i) not in dst_edge_set:
-            findings.append(f"edge ({s} -{i}-> {d}) has no transported counterpart")
+        if (images[s], images[d], i) not in dst_edge_set:
+            findings.append(f"edge ({src.key(s)} -{i}-> {src.key(d)}) has no transported counterpart")
     return findings

@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 a mathematical finding (mismatch or failed
 verification), 2 invalid input, 3 an enumeration cap was exceeded.
 Reports go to stdout; diagnostics go to stderr.  Outputs are
 deterministic byte for byte for identical inputs.
+
+`verify` checks iota independence against the realization over the
+reversed period, or over the period rotated by one position when the
+period is a palindrome.  For rank 2 and up that is always a different
+index sequence; rank 1 has only one index sequence, so there the check
+compares the crystal with itself.
 """
 
 from __future__ import annotations
@@ -162,8 +168,8 @@ def cmd_verify(args) -> int:
         if b.entries and all(crystal.e(i, b) is None for i in range(1, datum.index_count + 1))
     ]
     check("every non-head node can be raised", stuck)
-    alt_period = tuple(reversed(crystal.iota.period))
-    alt = crystal.realization_with(IotaSequence(alt_period))
+    reverse = IotaSequence(tuple(reversed(crystal.iota.period)))
+    alt = crystal.realization_with(reverse if reverse != crystal.iota else crystal.iota.shifted())
     check(
         "iota independence (transport is a graph isomorphism)",
         transport_isomorphism_findings(crystal, alt, args.depth, args.cap),

@@ -4,7 +4,9 @@ A crystal over a Borcherds-Cartan datum supplies wt, eps_i, phi_i and the
 raising/lowering operators e_i, f_i.  Statistics take values in the
 integers extended by -infinity; `None` plays the role of the crystal's
 zero element.  All implementations in this package are pure: methods never
-mutate elements, and equal elements are interchangeable.
+mutate elements, and equal elements are interchangeable.  Elements are
+hashable values and are their own identity: checks and enumeration key
+sets and dicts by the elements and compare them with ==.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ class Crystal:
     """Behavioral contract shared by every crystal implementation.
 
     Subclasses set `datum` and implement the five maps plus `key`, which
-    must return a stable, injective string form of an element (used for
-    graph node identity and deterministic export).
+    must return a stable, injective string form of an element.  Keys are
+    for output only: graph export and the text of findings.
     """
 
     datum: BorcherdsCartanDatum
@@ -80,7 +82,7 @@ def verify_axioms(crystal: Crystal, elements, datum: BorcherdsCartanDatum | None
     """
     datum = datum or crystal.datum
     elems = list(elements)
-    keyed = {crystal.key(b): b for b in elems}
+    members = set(elems)
     violations: list[Violation] = []
 
     def report(b, i, rule, detail):
@@ -127,14 +129,10 @@ def verify_axioms(crystal: Crystal, elements, datum: BorcherdsCartanDatum | None
                         report(b, i, "(vi)", f"imaginary eps changed: {eps_b} -> {eps_f}")
                     if phi_f != phi_b - aii:
                         report(b, i, "(vi)", f"imaginary phi jump: {phi_b} -> {phi_f}")
-            if fb is not None and crystal.key(fb) in keyed:
-                back = _checked(crystal, "e", i, fb)
-                if back is None or crystal.key(back) != crystal.key(b):
-                    report(b, i, "(iv)", "e_i(f_i b) != b")
-            if eb is not None and crystal.key(eb) in keyed:
-                back = _checked(crystal, "f", i, eb)
-                if back is None or crystal.key(back) != crystal.key(b):
-                    report(b, i, "(iv)", "f_i(e_i b) != b")
+            if fb in members and _checked(crystal, "e", i, fb) != b:
+                report(b, i, "(iv)", "e_i(f_i b) != b")
+            if eb in members and _checked(crystal, "f", i, eb) != b:
+                report(b, i, "(iv)", "f_i(e_i b) != b")
             if phi_b == NEG_INF and (eb is not None or fb is not None):
                 report(b, i, "(vii)", "phi = -inf but an operator acts")
     return violations
@@ -150,39 +148,36 @@ def check_strict_morphism(psi, elements, source: Crystal, target: Crystal) -> li
     datum = source.datum
     elems = list(elements)
     violations: list[Violation] = []
-    images: dict[str, str] = {}
+    preimages: dict = {}
+
+    def report(b, i, rule, detail):
+        violations.append(Violation(source.key(b), i, rule, detail))
 
     for b in elems:
-        key_b = source.key(b)
         pb = psi(b)
         if pb is None:
-            violations.append(Violation(key_b, None, "injective", "psi maps an element to zero"))
+            report(b, None, "injective", "psi maps an element to zero")
             continue
-        pkey = target.key(pb)
-        if pkey in images and images[pkey] != key_b:
-            violations.append(Violation(key_b, None, "injective", f"collides with {images[pkey]}"))
-        images[pkey] = key_b
+        if preimages.get(pb, b) != b:
+            report(b, None, "injective", f"collides with {source.key(preimages[pb])}")
+        preimages[pb] = b
         if _checked(source, "wt", b) != _checked(target, "wt", pb):
-            violations.append(Violation(key_b, None, "wt", "weight not preserved"))
+            report(b, None, "wt", "weight not preserved")
         for i in range(1, datum.index_count + 1):
             if _checked(source, "eps", i, b) != _checked(target, "eps", i, pb):
-                violations.append(Violation(key_b, i, "eps", "eps_i not preserved"))
+                report(b, i, "eps", "eps_i not preserved")
             if _checked(source, "phi", i, b) != _checked(target, "phi", i, pb):
-                violations.append(Violation(key_b, i, "phi", "phi_i not preserved"))
+                report(b, i, "phi", "phi_i not preserved")
             for opname in ("e", "f"):
                 sb = _checked(source, opname, i, b)
                 tb = _checked(target, opname, i, pb)
                 if sb is None:
                     if tb is not None:
-                        violations.append(
-                            Violation(key_b, i, opname, f"{opname}_i vanishes in the source but not on the image")
-                        )
+                        report(b, i, opname, f"{opname}_i vanishes in the source but not on the image")
                 elif tb is None:
-                    violations.append(
-                        Violation(key_b, i, opname, f"{opname}_i vanishes on the image but not in the source")
-                    )
-                elif target.key(psi(sb)) != target.key(tb):
-                    violations.append(Violation(key_b, i, opname, f"psi({opname}_i b) != {opname}_i psi(b)"))
+                    report(b, i, opname, f"{opname}_i vanishes on the image but not in the source")
+                elif psi(sb) != tb:
+                    report(b, i, opname, f"psi({opname}_i b) != {opname}_i psi(b)")
     return violations
 
 
@@ -204,33 +199,32 @@ class CrystalGraph:
 def reachable(crystal: Crystal, root, depth: int, cap: int = 10000):
     """Breadth-first closure of `root` under the lowering operators.
 
-    Returns (elements, edges, layer_sizes).  Ordering is deterministic:
+    Returns (elements, edges, layer_sizes), with edges as (source element,
+    target element, index) triples.  Ordering is deterministic:
     layer by layer, parents in discovery order, indices ascending; an
     element is listed once, at first discovery.  Raises DepthExceededError
     when more than `cap` elements appear.
     """
     n = crystal.datum.index_count
     elements = [root]
-    seen = {crystal.key(root)}
-    edges: list[tuple[str, str, int]] = []
+    seen = {root}
+    edges: list[tuple] = []
     layer_sizes = [1]
     frontier = [root]
     for _ in range(depth):
         nxt = []
         for b in frontier:
-            bkey = crystal.key(b)
             for i in range(1, n + 1):
                 c = _checked(crystal, "f", i, b)
                 if c is None:
                     continue
-                ckey = crystal.key(c)
-                if ckey not in seen:
-                    seen.add(ckey)
+                if c not in seen:
+                    seen.add(c)
                     nxt.append(c)
                     elements.append(c)
                     if len(elements) > cap:
                         raise DepthExceededError(f"more than {cap} nodes generated")
-                edges.append((bkey, ckey, i))
+                edges.append((b, c, i))
         if not nxt:
             break
         layer_sizes.append(len(nxt))
@@ -239,19 +233,23 @@ def reachable(crystal: Crystal, root, depth: int, cap: int = 10000):
 
 
 def generate_graph(crystal: Crystal, root, depth: int, cap: int = 10000) -> CrystalGraph:
-    """Crystal graph of everything reachable from `root` within `depth` lowerings."""
+    """Crystal graph of everything reachable from `root` within `depth` lowerings.
+
+    The one place where enumerated elements become key strings.
+    """
     elements, edges, _ = reachable(crystal, root, depth, cap)
     n = crystal.datum.index_count
+    keys = {b: crystal.key(b) for b in elements}
     nodes = tuple(
         GraphNode(
-            crystal.key(b),
+            keys[b],
             _checked(crystal, "wt", b),
             tuple(_checked(crystal, "eps", i, b) for i in range(1, n + 1)),
             tuple(_checked(crystal, "phi", i, b) for i in range(1, n + 1)),
         )
         for b in elements
     )
-    return CrystalGraph(nodes, tuple(edges), crystal.key(root))
+    return CrystalGraph(nodes, tuple((keys[s], keys[d], i) for s, d, i in edges), keys[root])
 
 
 def _stat_json(value):

@@ -1,12 +1,15 @@
 """Small exact linear algebra over the rationals.
 
 Matrices carry explicit shapes so zero-dimensional edge cases stay well
-defined.  Subspaces are lists of row vectors; the reduced row echelon
-basis is the canonical form throughout.
+defined.  A subspace is an `EchelonBasis`: its reduced row echelon basis,
+grown one vector at a time, which answers membership and, with rows
+augmented by unit vectors, coordinates.  Because that basis is unique,
+`rref` and `nullspace` are one-shot uses of it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -83,40 +86,58 @@ class RatMat:
         return all(a == 0 for r in self.entries for a in r)
 
 
+class EchelonBasis:
+    """A growing subspace of Q^width, kept as its canonical RREF basis.
+
+    `rows` is the reduced row echelon basis of the span, sorted by pivot
+    column, and `pivots` lists the pivot columns.  Every insertion keeps
+    that form, so the rows are the same whatever order spanned them.
+    """
+
+    def __init__(self, width: int, rows=()):
+        self.width = width
+        self.rows: list[Vec] = []
+        self.pivots: list[int] = []
+        for v in rows:
+            self.add(v)
+
+    def reduce(self, v) -> Vec:
+        """v with every pivot column cleared: zero exactly when v lies in the span."""
+        v = [Q(a) for a in v]
+        if len(v) != self.width:
+            raise ValueError(f"vector of length {len(v)} in a basis of width {self.width}")
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                v = [a - c * b if b else a for a, b in zip(v, row)]
+        return tuple(v)
+
+    def add(self, v) -> bool:
+        """Insert v; True when the span grew."""
+        v = self.reduce(v)
+        p = next((k for k, a in enumerate(v) if a), None)
+        if p is None:
+            return False
+        inv = 1 / v[p]
+        v = tuple(a * inv for a in v)
+        self.rows = [tuple(a - r[p] * b if b else a for a, b in zip(r, v)) if r[p] else r
+                     for r in self.rows]
+        k = bisect.bisect(self.pivots, p)
+        self.rows.insert(k, v)
+        self.pivots.insert(k, p)
+        return True
+
+    def __contains__(self, v) -> bool:
+        return not any(self.reduce(v))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 def rref(rows, width: int):
     """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    mat = [list(map(Q, r)) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        if r == len(mat):
-            break
-        pivot = next((k for k in range(r, len(mat)) if mat[k][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Q(1) / mat[r][c]
-        mat[r] = [inv * a for a in mat[r]]
-        for k in range(len(mat)):
-            if k != r and mat[k][c] != 0:
-                factor = mat[k][c]
-                mat[k] = [a - factor * b for a, b in zip(mat[k], mat[r])]
-        pivots.append(c)
-        r += 1
-    return [tuple(row) for row in mat[:r]], pivots
-
-
-def row_space(rows, width: int) -> list[Vec]:
-    basis, _ = rref(rows, width)
-    return basis
-
-
-def rank_rows(rows, width: int) -> int:
-    return len(row_space(rows, width))
-
-
-def in_span(basis, v, width: int) -> bool:
-    return rank_rows(list(basis) + [tuple(map(Q, v))], width) == len(basis)
+    basis = EchelonBasis(width, rows)
+    return basis.rows, basis.pivots
 
 
 def nullspace(m: RatMat) -> list[Vec]:
@@ -131,21 +152,6 @@ def nullspace(m: RatMat) -> list[Vec]:
             v[pc] = -basis[r][fc]
         out.append(tuple(v))
     return out
-
-
-def solve_in_basis(basis, v, width: int):
-    """Coefficients c with sum c_k basis_k = v, or None when v is outside the span."""
-    v = tuple(map(Q, v))
-    if not basis:
-        return [] if all(a == 0 for a in v) else None
-    aug_rows = [tuple(basis[k][c] for k in range(len(basis))) + (v[c],) for c in range(width)]
-    red, pivots = rref(aug_rows, len(basis) + 1)
-    if len(basis) in pivots:
-        return None
-    coeffs = [Q(0)] * len(basis)
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = red[r][len(basis)]
-    return coeffs
 
 
 def charpoly(m: RatMat) -> list[Q]:

@@ -22,17 +22,7 @@ from .errors import (
     InternalInconsistencyError,
     ShapeMismatchError,
 )
-from .exactlin import (
-    RatMat,
-    Vec,
-    charpoly,
-    in_span,
-    is_squarefree,
-    nullspace,
-    rational_roots,
-    row_space,
-    solve_in_basis,
-)
+from .exactlin import EchelonBasis, RatMat, Vec, charpoly, is_squarefree, nullspace, rational_roots
 
 DEFAULT_FLAG_DIM_BOUND = 6
 
@@ -172,19 +162,27 @@ def _loop_positions_at(rep: QuiverRep, i: int) -> list[int]:
     return [k for k, a in enumerate(rep.quiver.arrows) if a.source == i and a.target == i]
 
 
-def _closure_under_loops(rep: QuiverRep, i: int, rows: list[Vec]) -> list[Vec]:
+def _closure(spaces: list[EchelonBasis], maps) -> list[EchelonBasis]:
+    """Grow graded spaces until each map (src, tgt, matrix) sends spaces[src] into spaces[tgt].
+
+    Only vectors that grew a space are pushed through the maps: the others
+    lie in the span of earlier ones, and so do their images.
+    """
+    todo = [(v, row) for v, space in enumerate(spaces) for row in space.rows]
+    while todo:
+        v, row = todo.pop()
+        for src, tgt, m in maps:
+            if src == v:
+                [img] = m.apply_rows([row])
+                if spaces[tgt].add(img):
+                    todo.append((tgt, img))
+    return spaces
+
+
+def _closure_under_loops(rep: QuiverRep, i: int, rows: list[Vec]) -> EchelonBasis:
     """Smallest subspace of V_i containing `rows` and stable under every loop at i."""
-    d = rep.dims[i - 1]
-    loops = [rep.mats[k] for k in _loop_positions_at(rep, i)]
-    w = row_space(rows, d)
-    while True:
-        candidates = list(w)
-        for t in loops:
-            candidates.extend(t.apply_rows(w))
-        w2 = row_space(candidates, d)
-        if len(w2) == len(w):
-            return w2
-        w = w2
+    loops = [(0, 0, rep.mats[k]) for k in _loop_positions_at(rep, i)]
+    return _closure([EchelonBasis(rep.dims[i - 1], rows)], loops)[0]
 
 
 def eps_point(rep: QuiverRep, i: int) -> int:
@@ -208,19 +206,12 @@ def _loop_algebra(rep: QuiverRep, i: int) -> list[RatMat]:
     d = rep.dims[i - 1]
     gens = [rep.mats[k] for k in _loop_positions_at(rep, i)]
     basis = [RatMat.identity(d)]
-    flat = row_space([_flatten(basis[0])], d * d)
+    flat = EchelonBasis(d * d, [_flatten(basis[0])])
     frontier = list(basis)
     while frontier:
-        fresh: list[RatMat] = []
-        for t in gens:
-            for a in frontier:
-                p = t @ a
-                fp = _flatten(p)
-                if not in_span(flat, fp, d * d):
-                    basis.append(p)
-                    fresh.append(p)
-                    flat = row_space(flat + [fp], d * d)
-        frontier = fresh
+        products = [t @ a for t in gens for a in frontier]
+        frontier = [p for p in products if flat.add(_flatten(p))]
+        basis.extend(frontier)
     return basis
 
 
@@ -257,54 +248,47 @@ class FlagWitness:
     steps: tuple[tuple[int, Vec], ...]
 
 
-def _graded_dims(spaces) -> tuple[int, ...]:
-    return tuple(len(rows) for rows in spaces)
-
-
-def _graded_closure(rep: QuiverRep, seed) -> list[list[Vec]]:
+def _graded_closure(rep: QuiverRep, seed) -> list[EchelonBasis]:
     """Close a graded subspace under every arrow of the doubled quiver."""
-    basis = [row_space(rows, rep.dims[v]) for v, rows in enumerate(seed)]
-    changed = True
-    while changed:
-        changed = False
-        for k, arrow in enumerate(rep.quiver.arrows):
-            src, tgt = arrow.source - 1, arrow.target - 1
-            if not basis[src]:
-                continue
-            img = rep.mats[k].apply_rows(basis[src])
-            merged = row_space(basis[tgt] + img, rep.dims[tgt])
-            if len(merged) != len(basis[tgt]):
-                basis[tgt] = merged
-                changed = True
-    return basis
+    maps = [(a.source - 1, a.target - 1, rep.mats[k]) for k, a in enumerate(rep.quiver.arrows)]
+    return _closure([EchelonBasis(d, rows) for d, rows in zip(rep.dims, seed)], maps)
 
 
 def _complement(upper: list[Vec], lower: list[Vec], width: int) -> list[Vec]:
     """Rows of `upper` extending `lower` to a basis of span(upper)."""
-    acc = list(lower)
-    out: list[Vec] = []
-    for v in upper:
-        if not in_span(acc, v, width):
-            out.append(v)
-            acc = row_space(acc + [v], width)
-    return out
+    acc = EchelonBasis(width, lower)
+    return [v for v in upper if acc.add(v)]
+
+
+def _unit(k: int, n: int) -> Vec:
+    return tuple(Q(1 if j == k else 0) for j in range(n))
 
 
 def _induced_ops(ops: list[RatMat], comp: list[Vec], lower: list[Vec], width: int) -> list[RatMat]:
-    """Matrices of the operators on span(comp + lower)/span(lower) in the comp basis."""
-    q = len(comp)
+    """Matrices of the operators on span(comp + lower)/span(lower) in the comp basis.
+
+    Row k of `coords` is basis vector k followed by the k-th unit vector, so
+    reducing (image, 0) leaves (0, -coordinates) when the image lies in the
+    span and a nonzero head when it does not.
+    """
+    q, m = len(comp), len(comp) + len(lower)
+    coords = EchelonBasis(width + m, [tuple(v) + _unit(k, m) for k, v in enumerate(comp + lower)])
     induced = []
     for t in ops:
         cols: list[list[Q]] = []
-        for b in range(q):
-            image = t.apply_rows([comp[b]])[0]
-            coeffs = solve_in_basis(list(comp) + list(lower), image, width)
-            if coeffs is None:
+        for image in t.apply_rows(comp):
+            red = coords.reduce(image + (Q(0),) * m)
+            if any(red[:width]):
                 raise InternalInconsistencyError("operator leaves an invariant space it must preserve")
-            cols.append(coeffs[:q])
+            cols.append([-c for c in red[width:width + q]])
         entries = tuple(tuple(cols[b][a] for b in range(q)) for a in range(q))
         induced.append(RatMat(q, q, entries))
     return induced
+
+
+def _lift(w: Vec, comp: list[Vec], width: int) -> Vec:
+    """The vector with coordinates w in the basis comp."""
+    return tuple(sum((w[a] * comp[a][j] for a in range(len(comp))), Q(0)) for j in range(width))
 
 
 def _triangularize(ops: list[RatMat], q: int) -> list[Vec] | None:
@@ -317,7 +301,7 @@ def _triangularize(ops: list[RatMat], q: int) -> list[Vec] | None:
     if q == 0:
         return []
     if not ops:
-        return [tuple(Q(1 if j == k else 0) for j in range(q)) for k in range(q)]
+        return [_unit(k, q) for k in range(q)]
     root_lists = []
     for t in ops:
         roots = rational_roots(charpoly(t))
@@ -327,7 +311,7 @@ def _triangularize(ops: list[RatMat], q: int) -> list[Vec] | None:
     combos: list[tuple[Q, ...]] = [()]
     for roots in root_lists:
         combos = [c + (r,) for c in combos for r in roots]
-    identity_rows = [tuple(Q(1 if j == k else 0) for j in range(q)) for k in range(q)]
+    identity_rows = [_unit(k, q) for k in range(q)]
     for combo in combos:
         stacked: list[Vec] = []
         for t, lam in zip(ops, combo):
@@ -335,16 +319,11 @@ def _triangularize(ops: list[RatMat], q: int) -> list[Vec] | None:
             stacked.extend(shifted.entries)
         kernel = nullspace(RatMat.from_rows(stacked, nrows=len(stacked), ncols=q))
         for cand in kernel:
-            comp = _complement(identity_rows, row_space([cand], q), q)
+            comp = _complement(identity_rows, [cand], q)
             quotient = _induced_ops(ops, comp, [cand], q)
             sub = _triangularize(quotient, q - 1)
-            if sub is None:
-                continue
-            lifted = []
-            for w in sub:
-                vec = tuple(sum((w[a] * comp[a][j] for a in range(len(comp))), Q(0)) for j in range(q))
-                lifted.append(vec)
-            return [cand] + lifted
+            if sub is not None:
+                return [cand] + [_lift(w, comp, q) for w in sub]
     return None
 
 
@@ -364,8 +343,7 @@ def flag_exists(rep: QuiverRep, max_total_dim: int = DEFAULT_FLAG_DIM_BOUND) -> 
     weak = set(rep.quiver.weak_positions())
     strict = [k for k in range(len(rep.quiver.arrows)) if k not in weak]
 
-    full = [[tuple(Q(1 if j == k else 0) for j in range(rep.dims[v])) for k in range(rep.dims[v])]
-            for v in range(nv)]
+    full = [EchelonBasis(d, [_unit(k, d) for k in range(d)]) for d in rep.dims]
     chain = [full]
     current = full
     while any(current):
@@ -374,9 +352,9 @@ def flag_exists(rep: QuiverRep, max_total_dim: int = DEFAULT_FLAG_DIM_BOUND) -> 
             arrow = rep.quiver.arrows[k]
             src, tgt = arrow.source - 1, arrow.target - 1
             if current[src]:
-                seed[tgt].extend(rep.mats[k].apply_rows(current[src]))
+                seed[tgt].extend(rep.mats[k].apply_rows(current[src].rows))
         nxt = _graded_closure(rep, seed)
-        if _graded_dims(nxt) == _graded_dims(current):
+        if list(map(len, nxt)) == list(map(len, current)):
             return None  # strict part is not nilpotent
         chain.append(nxt)
         current = nxt
@@ -385,18 +363,15 @@ def flag_exists(rep: QuiverRep, max_total_dim: int = DEFAULT_FLAG_DIM_BOUND) -> 
     for layer in range(len(chain) - 2, -1, -1):
         upper, lower = chain[layer], chain[layer + 1]
         for v in range(nv):
-            comp = _complement(upper[v], lower[v], rep.dims[v])
+            comp = _complement(upper[v].rows, lower[v].rows, rep.dims[v])
             if not comp:
                 continue
             ops = [rep.mats[k] for k in weak if rep.quiver.arrows[k].source - 1 == v]
-            induced = _induced_ops(ops, comp, lower[v], rep.dims[v])
+            induced = _induced_ops(ops, comp, lower[v].rows, rep.dims[v])
             order = _triangularize(induced, len(comp))
             if order is None:
                 return None
-            for w in order:
-                vec = tuple(sum((w[a] * comp[a][j] for a in range(len(comp))), Q(0))
-                            for j in range(rep.dims[v]))
-                steps.append((v + 1, vec))
+            steps.extend((v + 1, _lift(w, comp, rep.dims[v])) for w in order)
     witness = FlagWitness(tuple(steps))
     problems = verify_flag(rep, witness)
     if problems:
@@ -409,25 +384,25 @@ def verify_flag(rep: QuiverRep, witness: FlagWitness) -> list[str]:
     findings: list[str] = []
     nv = rep.quiver.vertex_count
     weak = set(rep.quiver.weak_positions())
-    acc: list[list[Vec]] = [[] for _ in range(nv)]
+    acc = [EchelonBasis(d) for d in rep.dims]
     if len(witness.steps) != rep.total_dim():
         findings.append(f"{len(witness.steps)} steps for total dimension {rep.total_dim()}")
     for idx, (vertex, vec) in enumerate(witness.steps):
         if not 1 <= vertex <= nv or len(vec) != rep.dims[vertex - 1]:
             findings.append(f"step {idx}: bad vertex or vector length")
             return findings
-        prev = [list(rows) for rows in acc]
-        if in_span(acc[vertex - 1], vec, rep.dims[vertex - 1]):
+        prev = list(acc)  # the flag before this step; the grown piece gets a new basis
+        acc[vertex - 1] = EchelonBasis(rep.dims[vertex - 1], prev[vertex - 1].rows)
+        if not acc[vertex - 1].add(vec):
             findings.append(f"step {idx}: vector does not increase the flag")
             return findings
-        acc[vertex - 1] = row_space(acc[vertex - 1] + [tuple(map(Q, vec))], rep.dims[vertex - 1])
         for k, arrow in enumerate(rep.quiver.arrows):
             src, tgt = arrow.source - 1, arrow.target - 1
-            img = rep.mats[k].apply_rows(acc[src])
+            img = rep.mats[k].apply_rows(acc[src].rows)
             target_space = acc[tgt] if k in weak else prev[tgt]
             kind = "weak" if k in weak else "strict"
             for w in img:
-                if not in_span(target_space, w, rep.dims[tgt]):
+                if w not in target_space:
                     findings.append(f"step {idx}: {kind} arrow h{k} leaves the required piece")
                     return findings
     for v in range(nv):

@@ -169,3 +169,19 @@ def test_negative_cap_rejected(files, capsys):
 def test_negative_height_rejected(files, capsys):
     assert cli.main(["dims", "--cartan", files["exb.json"], "--height", "-1"]) == 2
     assert _one_line_input_error(capsys)
+
+
+@pytest.mark.parametrize("iota, alt_period", [("1,2,1", (2, 1, 1)), ("2,1", (1, 2))])
+def test_verify_iota_check_uses_another_sequence(files, capsys, monkeypatch, iota, alt_period):
+    seen = []
+
+    def spy(src, dst, depth, cap=10000):
+        seen.append((src, dst))
+        return []
+
+    monkeypatch.setattr(cli, "transport_isomorphism_findings", spy)
+    assert cli.main(["verify", "--cartan", files["exb.json"], "--depth", "2", "--iota", iota]) == 0
+    capsys.readouterr()
+    [(crystal, alt)] = seen
+    assert alt is not crystal
+    assert alt.iota.period == alt_period
