@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .cartan import BorcherdsCartanDatum, Weight, pairing
 from .crystal import NEG_INF, Crystal, reachable
 from .elementary import ElementaryCrystal, ElementaryElement
-from .errors import InternalInconsistencyError, StrippingStuckError
+from .errors import InputError, InternalInconsistencyError, StrippingStuckError
 from .tensor import TensorCrystal, TensorElement, route
 
 
@@ -48,9 +48,9 @@ class IotaSequence:
 
     def __post_init__(self) -> None:
         if not self.period:
-            raise ValueError("empty iota period")
+            raise InputError("empty iota period")
         if any((not isinstance(i, int)) or i < 1 for i in self.period):
-            raise ValueError(f"bad iota period {self.period}")
+            raise InputError(f"bad iota period {self.period}")
 
     @classmethod
     def cyclic(cls, n: int) -> "IotaSequence":
@@ -64,13 +64,13 @@ class IotaSequence:
         elif isinstance(spec, (list, tuple)):
             seq = cls(tuple(int(v) for v in spec))
         else:
-            raise ValueError(f"bad iota spec {spec!r}")
+            raise InputError(f"bad iota spec {spec!r}")
         seq.validate_for(n)
         return seq
 
     def validate_for(self, n: int) -> None:
         if set(self.period) != set(range(1, n + 1)):
-            raise ValueError(f"iota period {self.period} does not cover indices 1..{n} exactly")
+            raise InputError(f"iota period {self.period} does not cover indices 1..{n} exactly")
 
     def index_at(self, position: int) -> int:
         """Index at 1-based position."""
@@ -81,7 +81,7 @@ class IotaSequence:
         for m in range(after + 1, after + len(self.period) + 1):
             if self.index_at(m) == index:
                 return m
-        raise ValueError(f"index {index} does not occur in iota period {self.period}")
+        raise InputError(f"index {index} does not occur in iota period {self.period}")
 
     def i_first(self, index: int) -> "IotaSequence":
         """A sequence starting with `index` (used to read off starred statistics)."""
@@ -101,9 +101,9 @@ class BInfElement:
 
     def __post_init__(self) -> None:
         if any(a < 0 for a in self.entries):
-            raise ValueError(f"negative coordinate in {self.entries}")
+            raise InputError(f"negative coordinate in {self.entries}")
         if self.entries and self.entries[-1] == 0:
-            raise ValueError(f"trailing zero coordinate in {self.entries}; string is not canonical")
+            raise InputError(f"trailing zero coordinate in {self.entries}; string is not canonical")
 
 
 class BInfinityCrystal(Crystal):
@@ -140,7 +140,7 @@ class BInfinityCrystal(Crystal):
 
     def _own(self, b: BInfElement) -> None:
         if b.iota is not self.iota and b.iota != self.iota:
-            raise ValueError("element belongs to a realization with a different iota sequence")
+            raise InputError("element belongs to a realization with a different iota sequence")
 
     def key(self, b: BInfElement) -> str:
         return "-".join(map(str, b.entries)) if b.entries else "hw"
@@ -286,7 +286,7 @@ class BInfinityCrystal(Crystal):
         """
         self._own(b)
         if target.datum != self.datum:
-            raise ValueError("target realization lives over a different datum")
+            raise InputError("target realization lives over a different datum")
         self.strip_to_head(b)
         images, chain, x = self._images, [], b
         while x.entries and (target.iota, x.entries) not in images:

@@ -10,7 +10,7 @@ tuples against the simple roots alpha_1 .. alpha_n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     BadDiagonalError,
@@ -135,16 +135,9 @@ def dim_x(datum: BorcherdsCartanDatum, alpha: Weight) -> int:
 
     alpha must lie in the positive cone of the root lattice.
     """
-    n = datum.index_count
-    if len(alpha) != n:
-        raise LengthMismatchError("dimension vector length does not match the matrix rank")
     if not in_positive_cone(alpha):
         raise NegativeCoordinateError(f"dimension vector {alpha} has a negative coordinate")
-    two_id_minus_a = tuple(
-        tuple((2 if i == j else 0) - datum.matrix[i][j] for j in range(n)) for i in range(n)
-    )
-    image = tuple(sum(two_id_minus_a[i][j] * alpha[j] for j in range(n)) for i in range(n))
-    return sum(image[i] * alpha[i] for i in range(n))
+    return 2 * sum(a * a for a in alpha) - bilinear_form(datum, alpha, alpha)
 
 
 @dataclass(frozen=True)
@@ -156,50 +149,35 @@ class Arrow:
 
 @dataclass(frozen=True)
 class Quiver:
-    """Doubled quiver: arrow set H with a fixed-point-free reversing involution.
+    """Doubled quiver H built from its orientation Omega.
 
-    `involution[k]` is the position of the partner of `arrows[k]`; partners
-    reverse direction and exactly one of each pair lies in the orientation
-    Omega.  Vertices are 1-based.
+    `omega` lists the Omega arrows as (source, target) pairs.  With m of
+    them, `arrows[k]` is the k-th Omega arrow for k < m and `arrows[m + k]`
+    its reversal in Omega-bar, so the reversing involution is
+    k -> (k + m) mod 2m.  Vertices are 1-based.
     """
 
     vertex_count: int
-    arrows: tuple[Arrow, ...]
-    involution: tuple[int, ...]
+    omega: tuple[tuple[int, int], ...]
+    arrows: tuple[Arrow, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
             raise InputError("quiver needs at least one vertex")
-        for a in self.arrows:
-            for v in (a.source, a.target):
+        for pair in self.omega:
+            for v in pair:
                 if not 1 <= v <= self.vertex_count:
                     raise IndexOutOfRangeError(f"vertex {v} not in 1..{self.vertex_count}")
-        if len(self.involution) != len(self.arrows):
-            raise InputError("involution length does not match the arrow count")
-        for k, p in enumerate(self.involution):
-            if not 0 <= p < len(self.arrows):
-                raise InputError(f"involution value {p} out of range")
-            if p == k:
-                raise InputError(f"involution fixes arrow {k}")
-            if self.involution[p] != k:
-                raise InputError(f"involution is not an involution at arrow {k}")
-            a, b = self.arrows[k], self.arrows[p]
-            if (a.source, a.target) != (b.target, b.source):
-                raise InputError(f"partner of arrow {k} does not reverse it")
-            if a.in_omega == b.in_omega:
-                raise InputError(f"arrows {k} and {p} are paired within one orientation")
+        arrows = [Arrow(s, t, True) for s, t in self.omega] + [Arrow(t, s, False) for s, t in self.omega]
+        object.__setattr__(self, "arrows", tuple(arrows))
 
     @classmethod
     def from_omega_arrows(cls, vertex_count: int, pairs) -> "Quiver":
-        """Build H from the Omega arrows; each reversed copy lands in Omega-bar."""
-        omega = [Arrow(int(s), int(t), True) for s, t in pairs]
-        bar = [Arrow(a.target, a.source, False) for a in omega]
-        m = len(omega)
-        involution = tuple(list(range(m, 2 * m)) + list(range(m)))
-        return cls(vertex_count, tuple(omega + bar), involution)
+        return cls(vertex_count, tuple((int(s), int(t)) for s, t in pairs))
 
     def partner(self, k: int) -> int:
-        return self.involution[k]
+        m = len(self.omega)
+        return (k + m) % (2 * m)
 
     def loop_positions(self) -> tuple[int, ...]:
         return tuple(k for k, a in enumerate(self.arrows) if a.source == a.target)

@@ -1,9 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a mathematical finding (mismatch or failed
-verification), 2 invalid input, 3 an enumeration cap was exceeded.
-Reports go to stdout; diagnostics go to stderr.  Outputs are
-deterministic byte for byte for identical inputs.
+verification), 2 invalid input, 3 an enumeration cap was exceeded,
+4 an internal error (a tripwire such as InternalInconsistencyError fired).
+Reports go to stdout, and only once they are complete: a run that ends
+with exit code 2, 3 or 4 writes nothing there.  Diagnostics go to stderr,
+one line for exit codes 2-4.  Outputs are deterministic byte for byte for
+identical inputs.
 
 `verify` checks iota independence against the realization over the
 reversed period, or over the period rotated by one position when the
@@ -47,6 +50,7 @@ EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _read_file(path: str) -> str:
@@ -65,17 +69,16 @@ def _load_datum(args) -> BorcherdsCartanDatum:
     return quiver_to_cartan(load_quiver(_read_file(args.quiver)))
 
 
-def _parse_iota(spec: str, n: int) -> IotaSequence:
-    if spec == "cyclic":
-        return IotaSequence.from_spec("cyclic", n)
-    try:
-        period = [int(part) for part in spec.split(",")]
-    except ValueError as exc:
-        raise InputError(f"bad --iota value {spec!r}") from exc
-    try:
-        return IotaSequence.from_spec(period, n)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+def _load_crystal(args) -> BInfinityCrystal:
+    """The B(inf) realization named by --cartan/--quiver and --iota."""
+    datum = _load_datum(args)
+    spec = args.iota
+    if spec != "cyclic":
+        try:
+            spec = [int(part) for part in spec.split(",")]
+        except ValueError as exc:
+            raise InputError(f"bad --iota value {args.iota!r}") from exc
+    return BInfinityCrystal(datum, IotaSequence.from_spec(spec, datum.index_count))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -85,36 +88,30 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cap", type=int, default=10000, help="node cap for enumeration")
 
 
-def cmd_graph(args) -> int:
-    datum = _load_datum(args)
-    iota = _parse_iota(args.iota, datum.index_count)
-    crystal = BInfinityCrystal(datum, iota)
+def cmd_graph(args) -> tuple[int, str]:
+    crystal = _load_crystal(args)
     graph = generate_graph(crystal, crystal.highest_weight(), args.depth, args.cap)
-    sys.stdout.write(export_graph(graph, args.format))
-    return EXIT_OK
+    return EXIT_OK, export_graph(graph, args.format)
 
 
-def cmd_dims(args) -> int:
-    datum = _load_datum(args)
+def cmd_dims(args) -> tuple[int, str]:
+    crystal = _load_crystal(args)
     if args.height > args.oracle_bound:
         raise InputError(f"--height {args.height} exceeds the oracle bound {args.oracle_bound}")
-    iota = _parse_iota(args.iota, datum.index_count)
-    crystal = BInfinityCrystal(datum, iota)
     counts = graded_counts(crystal, args.height, args.cap)
-    weights = _positive_weights(datum.index_count, args.height)
+    weights = _positive_weights(crystal.datum.index_count, args.height)
     mismatches = 0
-    print("weight\tcrystal\toracle\tmatch")
+    out = ["weight\tcrystal\toracle\tmatch\n"]
     for alpha in weights:
         crystal_count = counts.get(alpha, 0)
-        oracle_count = graded_dim(datum, alpha, args.oracle_bound)
+        oracle_count = graded_dim(crystal.datum, alpha, args.oracle_bound)
         ok = crystal_count == oracle_count
         if not ok:
             mismatches += 1
-        print(f"{alpha}\t{crystal_count}\t{oracle_count}\t{'ok' if ok else 'MISMATCH'}")
+        out.append(f"{alpha}\t{crystal_count}\t{oracle_count}\t{'ok' if ok else 'MISMATCH'}\n")
     if mismatches:
         print(f"{mismatches} mismatching weights", file=sys.stderr)
-        return EXIT_FINDING
-    return EXIT_OK
+    return EXIT_FINDING if mismatches else EXIT_OK, "".join(out)
 
 
 def _positive_weights(n: int, max_height: int):
@@ -131,26 +128,25 @@ def _positive_weights(n: int, max_height: int):
     return sorted(out, key=lambda a: (weight_height(a), a))
 
 
-def cmd_verify(args) -> int:
-    datum = _load_datum(args)
-    iota = _parse_iota(args.iota, datum.index_count)
-    crystal = BInfinityCrystal(datum, iota)
+def cmd_verify(args) -> tuple[int, str]:
+    crystal = _load_crystal(args)
+    datum = crystal.datum
     findings: list[str] = []
+    out: list[str] = []
     try:
         elements, _, _ = crystal.enumerate_to_depth(args.depth, args.cap)
     except StrippingStuckError as exc:
         print(f"verification aborted: {exc}", file=sys.stderr)
-        return EXIT_FINDING
+        return EXIT_FINDING, ""
 
     def check(name: str, problems) -> None:
         problems = list(problems)
         status = "ok" if not problems else "FAIL"
-        print(f"{name}: {status}")
-        for p in problems[:5]:
-            print(f"  {p}")
+        out.append(f"{name}: {status}\n")
+        out.extend(f"  {p}\n" for p in problems[:5])
         findings.extend(str(p) for p in problems)
 
-    check("crystal axioms on enumerated nodes", verify_axioms(crystal, elements, datum))
+    check("crystal axioms on enumerated nodes", verify_axioms(crystal, elements))
     for i in range(1, datum.index_count + 1):
         try:
             psi, target = crystal.psi_morphism(i)
@@ -174,36 +170,36 @@ def cmd_verify(args) -> int:
         "iota independence (transport is a graph isomorphism)",
         transport_isomorphism_findings(crystal, alt, args.depth, args.cap),
     )
-    return EXIT_FINDING if findings else EXIT_OK
+    return EXIT_FINDING if findings else EXIT_OK, "".join(out)
 
 
 def _format_q(x) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def cmd_geom(args) -> int:
+def cmd_geom(args) -> tuple[int, str]:
     rep = load_rep(_read_file(args.rep))
     nv = rep.quiver.vertex_count
     mu_parts = []
     for i in range(1, nv + 1):
         mu_parts.append(f"v{i}:{'zero' if moment_map(rep, i).is_zero() else 'NONZERO'}")
-    print("moment map: " + " ".join(mu_parts))
+    out = ["moment map: " + " ".join(mu_parts) + "\n"]
     witness = flag_exists(rep, max_total_dim=args.flag_bound)
     if witness is None:
-        print("flag: not found (rational search)")
+        out.append("flag: not found (rational search)\n")
     else:
         rendered = ", ".join(
             f"(v{vertex}, [{', '.join(_format_q(x) for x in vec)}])" for vertex, vec in witness.steps
         )
-        print(f"flag: found {rendered}")
+        out.append(f"flag: found {rendered}\n")
     verdicts = regular_semisimple_verdicts(rep)
     if verdicts:
-        print("regular semisimple: " + " ".join(f"h{k}:{str(v).lower()}" for k, v in sorted(verdicts.items())))
+        out.append("regular semisimple: " + " ".join(f"h{k}:{str(v).lower()}" for k, v in sorted(verdicts.items())) + "\n")
     else:
-        print("regular semisimple: vacuous (no weak loops)")
+        out.append("regular semisimple: vacuous (no weak loops)\n")
     stats = " ".join(f"v{i}:({eps_point(rep, i)},{eps_star_point(rep, i)})" for i in range(1, nv + 1))
-    print(f"(eps, eps*) = {stats}")
-    return EXIT_OK
+    out.append(f"(eps, eps*) = {stats}\n")
+    return EXIT_OK, "".join(out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,13 +244,18 @@ def main(argv=None) -> int:
         for name in ("depth", "cap", "height"):
             if getattr(args, name, 0) < 0:
                 raise InputError(f"--{name} must be nonnegative, got {getattr(args, name)}")
-        return args.func(args)
+        code, report = args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DepthExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except GkmError as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    sys.stdout.write(report)
+    return code
 
 
 if __name__ == "__main__":

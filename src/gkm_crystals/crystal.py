@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .cartan import BorcherdsCartanDatum, Weight, add_weights, negate_weight, pairing, simple_root
+from .cartan import BorcherdsCartanDatum, Weight, add_weights, pairing, simple_root
 from .errors import DepthExceededError, EvaluationFailureError, UnknownFormatError
 
 NEG_INF = float("-inf")
@@ -71,7 +71,7 @@ def _checked(crystal: Crystal, method: str, *args):
         raise EvaluationFailureError(f"{method}{args!r} failed: {exc}") from exc
 
 
-def verify_axioms(crystal: Crystal, elements, datum: BorcherdsCartanDatum | None = None) -> list[Violation]:
+def verify_axioms(crystal: Crystal, elements) -> list[Violation]:
     """Check the defining crystal axioms on a finite element set.
 
     Rules (i)-(iii) and (v)-(vii) are checked on every supplied element;
@@ -80,7 +80,8 @@ def verify_axioms(crystal: Crystal, elements, datum: BorcherdsCartanDatum | None
     both endpoints lie in the supplied set, so that truncated carriers do
     not produce boundary false positives.
     """
-    datum = datum or crystal.datum
+    datum = crystal.datum
+    n = datum.index_count
     elems = list(elements)
     members = set(elems)
     violations: list[Violation] = []
@@ -90,7 +91,7 @@ def verify_axioms(crystal: Crystal, elements, datum: BorcherdsCartanDatum | None
 
     for b in elems:
         wt_b = _checked(crystal, "wt", b)
-        for i in range(1, datum.index_count + 1):
+        for i in range(1, n + 1):
             eps_b = _checked(crystal, "eps", i, b)
             phi_b = _checked(crystal, "phi", i, b)
             eb = _checked(crystal, "e", i, b)
@@ -99,36 +100,26 @@ def verify_axioms(crystal: Crystal, elements, datum: BorcherdsCartanDatum | None
 
             if phi_b != eps_b + pairing(datum, i, wt_b):
                 report(b, i, "(iii)", f"phi={phi_b} but eps+<h_i,wt>={eps_b + pairing(datum, i, wt_b)}")
-            if eb is not None:
-                if _checked(crystal, "wt", eb) != add_weights(wt_b, simple_root(datum.index_count, i)):
-                    report(b, i, "(i)", "wt(e_i b) != wt(b) + alpha_i")
-                eps_e = _checked(crystal, "eps", i, eb)
-                phi_e = _checked(crystal, "phi", i, eb)
+            for image, sign, wt_rule, step_rule, wt_detail in (
+                    (eb, 1, "(i)", "(v)", "wt(e_i b) != wt(b) + alpha_i"),
+                    (fb, -1, "(ii)", "(vi)", "wt(f_i b) != wt(b) - alpha_i")):
+                if image is None:
+                    continue
+                shift = tuple(sign * a for a in simple_root(n, i))
+                if _checked(crystal, "wt", image) != add_weights(wt_b, shift):
+                    report(b, i, wt_rule, wt_detail)
+                eps_x = _checked(crystal, "eps", i, image)
+                phi_x = _checked(crystal, "phi", i, image)
                 if datum.is_real(i):
-                    if eps_e != eps_b - 1:
-                        report(b, i, "(v)", f"real eps jump: {eps_b} -> {eps_e}")
-                    if phi_e != phi_b + 1:
-                        report(b, i, "(v)", f"real phi jump: {phi_b} -> {phi_e}")
+                    if eps_x != eps_b - sign:
+                        report(b, i, step_rule, f"real eps jump: {eps_b} -> {eps_x}")
+                    if phi_x != phi_b + sign:
+                        report(b, i, step_rule, f"real phi jump: {phi_b} -> {phi_x}")
                 else:
-                    if eps_e != eps_b:
-                        report(b, i, "(v)", f"imaginary eps changed: {eps_b} -> {eps_e}")
-                    if phi_e != phi_b + aii:
-                        report(b, i, "(v)", f"imaginary phi jump: {phi_b} -> {phi_e}")
-            if fb is not None:
-                if _checked(crystal, "wt", fb) != add_weights(wt_b, negate_weight(simple_root(datum.index_count, i))):
-                    report(b, i, "(ii)", "wt(f_i b) != wt(b) - alpha_i")
-                eps_f = _checked(crystal, "eps", i, fb)
-                phi_f = _checked(crystal, "phi", i, fb)
-                if datum.is_real(i):
-                    if eps_f != eps_b + 1:
-                        report(b, i, "(vi)", f"real eps jump: {eps_b} -> {eps_f}")
-                    if phi_f != phi_b - 1:
-                        report(b, i, "(vi)", f"real phi jump: {phi_b} -> {phi_f}")
-                else:
-                    if eps_f != eps_b:
-                        report(b, i, "(vi)", f"imaginary eps changed: {eps_b} -> {eps_f}")
-                    if phi_f != phi_b - aii:
-                        report(b, i, "(vi)", f"imaginary phi jump: {phi_b} -> {phi_f}")
+                    if eps_x != eps_b:
+                        report(b, i, step_rule, f"imaginary eps changed: {eps_b} -> {eps_x}")
+                    if phi_x != phi_b + sign * aii:
+                        report(b, i, step_rule, f"imaginary phi jump: {phi_b} -> {phi_x}")
             if fb in members and _checked(crystal, "e", i, fb) != b:
                 report(b, i, "(iv)", "e_i(f_i b) != b")
             if eb in members and _checked(crystal, "f", i, eb) != b:

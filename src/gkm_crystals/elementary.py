@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .cartan import BorcherdsCartanDatum, Weight
 from .crystal import NEG_INF, Crystal
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class ElementaryElement:
 
     def __post_init__(self) -> None:
         if self.level < 0:
-            raise ValueError(f"negative level {self.level}")
+            raise InputError(f"negative level {self.level}")
 
 
 class ElementaryCrystal(Crystal):
@@ -39,7 +40,7 @@ class ElementaryCrystal(Crystal):
 
     def _own(self, b: ElementaryElement) -> bool:
         if b.index != self.index:
-            raise ValueError(f"element of index {b.index} fed to the index-{self.index} crystal")
+            raise InputError(f"element of index {b.index} fed to the index-{self.index} crystal")
         return True
 
     def wt(self, b: ElementaryElement) -> Weight:

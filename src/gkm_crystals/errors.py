@@ -1,10 +1,10 @@
 """Exception hierarchy shared across the package.
 
-InputError subclasses signal malformed user input (CLI exit code 2).
-DepthExceededError signals a blown enumeration cap (CLI exit code 3).
-The remaining classes are correctness tripwires or evaluation failures;
-they indicate bugs or ill-formed data fed past validation and are never
-silenced by library code.
+InputError subclasses signal malformed user input (CLI exit code 2); they
+are also ValueErrors.  DepthExceededError signals a blown enumeration cap
+(CLI exit code 3).  The remaining classes are correctness tripwires or
+evaluation failures (CLI exit code 4); they indicate bugs or ill-formed
+data fed past validation and are never silenced by library code.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ class GkmError(Exception):
     """Base class for all package errors."""
 
 
-class InputError(GkmError):
+class InputError(GkmError, ValueError):
     """Malformed input data (matrices, quivers, files, flags)."""
 
 

@@ -11,11 +11,10 @@ closures of arrow images under the loop algebra.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .cartan import Quiver, load_quiver
+from .cartan import Quiver, _loaded_dict, load_quiver
 from .errors import (
     DimensionExceededError,
     InputError,
@@ -71,15 +70,7 @@ def load_rep(source) -> QuiverRep:
     Matrix entries are integers or rational strings "p/q"; arrow keys
     follow declaration order in the doubled arrow set.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        try:
-            data = json.loads(source)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise InputError("top-level JSON value must be an object")
+    data = _loaded_dict(source)
     for key in ("quiver", "dims", "mats"):
         if key not in data:
             raise InputError(f'missing "{key}" key')
@@ -294,9 +285,11 @@ def _lift(w: Vec, comp: list[Vec], width: int) -> Vec:
 def _triangularize(ops: list[RatMat], q: int) -> list[Vec] | None:
     """Order a basis of Q^q so every prefix span is invariant under all ops.
 
-    Searches rational joint eigenvectors recursively; returns None when no
-    rational ordering exists (or when the search, restricted to canonical
-    basis vectors of each joint eigenspace, finds none).
+    Takes the first rational joint eigenvector v and recurses on the
+    quotient by <v>; returns None when no rational ordering exists.  One
+    candidate suffices: an invariant complete flag of Q^q maps onto one of
+    Q^q/<w> for every invariant line <w>, so if the quotient by <v> has no
+    flag, neither has Q^q.
     """
     if q == 0:
         return []
@@ -311,19 +304,17 @@ def _triangularize(ops: list[RatMat], q: int) -> list[Vec] | None:
     combos: list[tuple[Q, ...]] = [()]
     for roots in root_lists:
         combos = [c + (r,) for c in combos for r in roots]
-    identity_rows = [_unit(k, q) for k in range(q)]
     for combo in combos:
         stacked: list[Vec] = []
         for t, lam in zip(ops, combo):
             shifted = t - RatMat.identity(q).scale(lam)
             stacked.extend(shifted.entries)
         kernel = nullspace(RatMat.from_rows(stacked, nrows=len(stacked), ncols=q))
-        for cand in kernel:
-            comp = _complement(identity_rows, [cand], q)
-            quotient = _induced_ops(ops, comp, [cand], q)
-            sub = _triangularize(quotient, q - 1)
-            if sub is not None:
-                return [cand] + [_lift(w, comp, q) for w in sub]
+        if kernel:
+            cand = kernel[0]
+            comp = _complement([_unit(k, q) for k in range(q)], [cand], q)
+            sub = _triangularize(_induced_ops(ops, comp, [cand], q), q - 1)
+            return None if sub is None else [cand] + [_lift(w, comp, q) for w in sub]
     return None
 
 

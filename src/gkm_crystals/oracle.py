@@ -277,20 +277,12 @@ def graded_dim(datum: BorcherdsCartanDatum, alpha: Weight,
         gamma = tuple(a - b for a, b in zip(alpha, rel.weight))
         if any(c < 0 for c in gamma):
             continue
-        for left_weight in _subweights(gamma):
-            right_weight = tuple(a - b for a, b in zip(gamma, left_weight))
-            for u in words_of_weight(left_weight):
-                for v in words_of_weight(right_weight):
-                    row = [Laurent.zero() for _ in words]
-                    for coeff, w in rel.terms:
-                        row[index[u + w + v]] = row[index[u + w + v]] + coeff
-                    rows.append(row)
+        # Each pair (u, v) of total weight gamma is one split of one word of weight gamma.
+        for uv in words_of_weight(gamma):
+            for cut in range(len(uv) + 1):
+                u, v = uv[:cut], uv[cut:]
+                row = [Laurent.zero() for _ in words]
+                for coeff, w in rel.terms:
+                    row[index[u + w + v]] = row[index[u + w + v]] + coeff
+                rows.append(row)
     return len(words) - laurent_rank(rows, len(words))
-
-
-def _subweights(gamma: Weight) -> list[Weight]:
-    """All beta with 0 <= beta <= gamma componentwise, lexicographic order."""
-    out: list[Weight] = [()]
-    for c in gamma:
-        out = [beta + (k,) for beta in out for k in range(c + 1)]
-    return out

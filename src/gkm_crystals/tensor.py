@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .cartan import Weight, add_weights, pairing
 from .crystal import Crystal
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class TensorCrystal(Crystal):
 
     def __init__(self, left: Crystal, right: Crystal, record_gap_events: bool = False):
         if left.datum != right.datum:
-            raise ValueError("tensor factors live over different data")
+            raise InputError("tensor factors live over different data")
         self.datum = left.datum
         self.left = left
         self.right = right

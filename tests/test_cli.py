@@ -6,6 +6,7 @@ import pytest
 
 from gkm_crystals import cli
 from gkm_crystals.crystal import Violation
+from gkm_crystals.errors import InexactDivisionError, InternalInconsistencyError
 
 EXB = '{"matrix": [[0, -1], [-1, 2]]}'
 TWO_IMAG = '{"matrix": [[0, -1], [-1, 0]]}'
@@ -185,3 +186,40 @@ def test_verify_iota_check_uses_another_sequence(files, capsys, monkeypatch, iot
     [(crystal, alt)] = seen
     assert alt is not crystal
     assert alt.iota.period == alt_period
+
+
+def _one_line_internal_error(capsys) -> bool:
+    captured = capsys.readouterr()
+    err = captured.err
+    return (captured.out == "" and err.startswith("internal error:")
+            and len(err.strip().splitlines()) == 1 and "Traceback" not in err)
+
+
+def test_dims_tripwire_exits_four(files, capsys, monkeypatch):
+    def tripped(datum, alpha, bound):
+        raise InexactDivisionError("planted remainder")
+
+    monkeypatch.setattr(cli, "graded_dim", tripped)
+    assert cli.main(["dims", "--cartan", files["exb.json"], "--height", "2"]) == 4
+    assert _one_line_internal_error(capsys)
+
+
+def test_geom_tripwire_exits_four(files, capsys, monkeypatch):
+    def tripped(rep, max_total_dim):
+        raise InternalInconsistencyError("planted disagreement")
+
+    monkeypatch.setattr(cli, "flag_exists", tripped)
+    assert cli.main(["geom", "--rep", files["rep.json"]]) == 4
+    assert _one_line_internal_error(capsys)
+
+
+def test_failed_run_writes_no_partial_report(tmp_path, capsys):
+    # The moment map is computed before the flag search rejects the dimension.
+    path = tmp_path / "big_rep.json"
+    zeros = [[0] * 7 for _ in range(7)]
+    path.write_text(json.dumps({"quiver": {"vertices": 1, "omega_arrows": [[1, 1]]},
+                                "dims": [7], "mats": {"h0": zeros, "h1": zeros}}))
+    assert cli.main(["geom", "--rep", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: total dimension 7 exceeds the bound 6\n"

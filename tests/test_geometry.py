@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from gkm_crystals import geometry
 from gkm_crystals.cartan import Quiver
 from gkm_crystals.errors import DimensionExceededError, InputError, ShapeMismatchError
 from gkm_crystals.exactlin import RatMat
@@ -176,3 +177,20 @@ def test_verify_flag_blames_faults():
 
     malformed = FlagWitness(((1, (Q(1),)),))
     assert any("bad vertex" in f for f in verify_flag(rep, malformed))
+
+
+def test_flag_search_stops_after_one_candidate(monkeypatch):
+    # diag(1, 1) + a plane rotation: the 1-eigenspace has two basis vectors,
+    # and the quotient by either keeps the rotation, which has no rational
+    # eigenvector.  One candidate decides that no flag exists.
+    calls = []
+    real_nullspace = geometry.nullspace
+
+    def counting(m):
+        calls.append(m)
+        return real_nullspace(m)
+
+    monkeypatch.setattr(geometry, "nullspace", counting)
+    op = RatMat.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    assert geometry._triangularize([op], 4) is None
+    assert len(calls) == 2

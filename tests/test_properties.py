@@ -1,0 +1,67 @@
+"""Property-based differential checks on random small Borcherds-Cartan data.
+
+Each example is a symmetric matrix of rank at most 3 (diagonal in
+{2, 0, -2}, off-diagonal entries in {0, -1, -2}) with an iota period that
+covers every index, plus up to two repeated indices.  The crystal is
+compared with the oracle, with the axioms, and with its transport onto a
+realization over another period.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gkm_crystals.binfinity import (
+    BInfinityCrystal,
+    IotaSequence,
+    graded_counts,
+    transport_isomorphism_findings,
+)
+from gkm_crystals.cartan import validate_datum
+from gkm_crystals.cli import _positive_weights
+from gkm_crystals.crystal import verify_axioms
+from gkm_crystals.oracle import graded_dim
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=50, deadline=None, database=None)
+
+
+@st.composite
+def data_and_periods(draw):
+    n = draw(st.integers(1, 3))
+    diagonal = [draw(st.sampled_from([2, 0, -2])) for _ in range(n)]
+    matrix = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = draw(st.sampled_from([0, -1, -2]))
+    period = list(draw(st.permutations(range(1, n + 1))))
+    for _ in range(draw(st.integers(0, 2))):
+        period.insert(draw(st.integers(0, len(period))), draw(st.integers(1, n)))
+    return validate_datum(matrix), IotaSequence(tuple(period))
+
+
+@PROPERTY_SETTINGS
+@given(data_and_periods())
+def test_crystal_counts_equal_oracle_dimensions(example):
+    datum, iota = example
+    height = 4 if datum.index_count <= 2 else 3
+    counts = graded_counts(BInfinityCrystal(datum, iota), height)
+    for alpha in _positive_weights(datum.index_count, height):
+        assert counts.get(alpha, 0) == graded_dim(datum, alpha), (datum.matrix, iota.period, alpha)
+
+
+@PROPERTY_SETTINGS
+@given(data_and_periods())
+def test_axioms_hold_on_enumerated_nodes(example):
+    datum, iota = example
+    crystal = BInfinityCrystal(datum, iota)
+    elements, _, _ = crystal.enumerate_to_depth(3)
+    assert verify_axioms(crystal, elements) == []
+
+
+@PROPERTY_SETTINGS
+@given(data_and_periods())
+def test_transport_to_another_period_is_a_graph_isomorphism(example):
+    datum, iota = example
+    crystal = BInfinityCrystal(datum, iota)
+    reverse = IotaSequence(tuple(reversed(iota.period)))
+    alt = crystal.realization_with(reverse if reverse != iota else iota.shifted())
+    assert transport_isomorphism_findings(crystal, alt, 3) == []
