@@ -49,7 +49,7 @@ class IotaSequence:
     def __post_init__(self) -> None:
         if not self.period:
             raise InputError("empty iota period")
-        if any((not isinstance(i, int)) or i < 1 for i in self.period):
+        if any(not isinstance(i, int) or isinstance(i, bool) or i < 1 for i in self.period):
             raise InputError(f"bad iota period {self.period}")
 
     @classmethod
@@ -59,10 +59,10 @@ class IotaSequence:
     @classmethod
     def from_spec(cls, spec, n: int) -> "IotaSequence":
         """Accept "cyclic" or an explicit period list and validate coverage."""
-        if spec == "cyclic" or spec is None:
+        if spec == "cyclic":
             seq = cls.cyclic(n)
         elif isinstance(spec, (list, tuple)):
-            seq = cls(tuple(int(v) for v in spec))
+            seq = cls(tuple(spec))
         else:
             raise InputError(f"bad iota spec {spec!r}")
         seq.validate_for(n)
@@ -71,17 +71,6 @@ class IotaSequence:
     def validate_for(self, n: int) -> None:
         if set(self.period) != set(range(1, n + 1)):
             raise InputError(f"iota period {self.period} does not cover indices 1..{n} exactly")
-
-    def index_at(self, position: int) -> int:
-        """Index at 1-based position."""
-        return self.period[(position - 1) % len(self.period)]
-
-    def first_slot(self, index: int, after: int) -> int:
-        """Smallest position > after carrying `index`."""
-        for m in range(after + 1, after + len(self.period) + 1):
-            if self.index_at(m) == index:
-                return m
-        raise InputError(f"index {index} does not occur in iota period {self.period}")
 
     def i_first(self, index: int) -> "IotaSequence":
         """A sequence starting with `index` (used to read off starred statistics)."""

@@ -25,10 +25,6 @@ from .errors import (
 Weight = tuple[int, ...]
 
 
-def zero_weight(n: int) -> Weight:
-    return (0,) * n
-
-
 def simple_root(n: int, i: int) -> Weight:
     """Coordinate vector of alpha_i (1-based index)."""
     if not 1 <= i <= n:
@@ -40,10 +36,6 @@ def add_weights(u: Weight, v: Weight) -> Weight:
     if len(u) != len(v):
         raise LengthMismatchError(f"weight lengths {len(u)} and {len(v)} differ")
     return tuple(a + b for a, b in zip(u, v))
-
-
-def negate_weight(u: Weight) -> Weight:
-    return tuple(-a for a in u)
 
 
 def weight_height(u: Weight) -> int:
@@ -179,9 +171,6 @@ class Quiver:
         m = len(self.omega)
         return (k + m) % (2 * m)
 
-    def loop_positions(self) -> tuple[int, ...]:
-        return tuple(k for k, a in enumerate(self.arrows) if a.source == a.target)
-
     def weak_positions(self) -> tuple[int, ...]:
         """Omega-bar loops: the arrows allowed to act within flag steps."""
         return tuple(k for k, a in enumerate(self.arrows) if a.source == a.target and not a.in_omega)
@@ -208,7 +197,7 @@ def _loaded_dict(source) -> dict:
         return source
     try:
         data = json.loads(source)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("top-level JSON value must be an object")

@@ -34,7 +34,7 @@ from .cartan import (
     weight_height,
 )
 from .crystal import check_strict_morphism, export_graph, generate_graph, verify_axioms
-from .errors import DepthExceededError, GkmError, InputError, StrippingStuckError
+from .errors import DepthExceededError, GkmError, InputError
 from .geometry import (
     DEFAULT_FLAG_DIM_BOUND,
     eps_point,
@@ -57,7 +57,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -96,15 +96,15 @@ def cmd_graph(args) -> tuple[int, str]:
 
 def cmd_dims(args) -> tuple[int, str]:
     crystal = _load_crystal(args)
-    if args.height > args.oracle_bound:
-        raise InputError(f"--height {args.height} exceeds the oracle bound {args.oracle_bound}")
+    if args.height > DEFAULT_HEIGHT_BOUND:
+        raise InputError(f"--height {args.height} exceeds the oracle bound {DEFAULT_HEIGHT_BOUND}")
     counts = graded_counts(crystal, args.height, args.cap)
     weights = _positive_weights(crystal.datum.index_count, args.height)
     mismatches = 0
     out = ["weight\tcrystal\toracle\tmatch\n"]
     for alpha in weights:
         crystal_count = counts.get(alpha, 0)
-        oracle_count = graded_dim(crystal.datum, alpha, args.oracle_bound)
+        oracle_count = graded_dim(crystal.datum, alpha, DEFAULT_HEIGHT_BOUND)
         ok = crystal_count == oracle_count
         if not ok:
             mismatches += 1
@@ -133,11 +133,7 @@ def cmd_verify(args) -> tuple[int, str]:
     datum = crystal.datum
     findings: list[str] = []
     out: list[str] = []
-    try:
-        elements, _, _ = crystal.enumerate_to_depth(args.depth, args.cap)
-    except StrippingStuckError as exc:
-        print(f"verification aborted: {exc}", file=sys.stderr)
-        return EXIT_FINDING, ""
+    elements, _, _ = crystal.enumerate_to_depth(args.depth, args.cap)
 
     def check(name: str, problems) -> None:
         problems = list(problems)
@@ -184,7 +180,7 @@ def cmd_geom(args) -> tuple[int, str]:
     for i in range(1, nv + 1):
         mu_parts.append(f"v{i}:{'zero' if moment_map(rep, i).is_zero() else 'NONZERO'}")
     out = ["moment map: " + " ".join(mu_parts) + "\n"]
-    witness = flag_exists(rep, max_total_dim=args.flag_bound)
+    witness = flag_exists(rep, max_total_dim=DEFAULT_FLAG_DIM_BOUND)
     if witness is None:
         out.append("flag: not found (rational search)\n")
     else:
@@ -218,9 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dims = sub.add_parser("dims", help="compare crystal counts with the graded-dimension oracle")
     _add_common(p_dims)
-    p_dims.add_argument("--height", type=int, required=True)
-    p_dims.add_argument("--oracle-bound", type=int, default=DEFAULT_HEIGHT_BOUND,
-                        help="height bound accepted by the oracle")
+    p_dims.add_argument("--height", type=int, required=True,
+                        help=f"largest weight height compared (at most {DEFAULT_HEIGHT_BOUND})")
     p_dims.set_defaults(func=cmd_dims)
 
     p_verify = sub.add_parser("verify", help="run the structural verification suite")
@@ -229,9 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_geom = sub.add_parser("geom", help="report pointwise invariants of a quiver representation")
-    p_geom.add_argument("--rep", required=True, help="path to a JSON representation file")
-    p_geom.add_argument("--flag-bound", type=int, default=DEFAULT_FLAG_DIM_BOUND,
-                        help="largest total dimension the flag search accepts")
+    p_geom.add_argument("--rep", required=True,
+                        help=f"path to a JSON representation file (total dimension at most {DEFAULT_FLAG_DIM_BOUND})")
     p_geom.set_defaults(func=cmd_geom)
 
     return parser

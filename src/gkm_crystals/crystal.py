@@ -17,12 +17,10 @@ from dataclasses import dataclass
 from .cartan import BorcherdsCartanDatum, Weight, add_weights, pairing, simple_root
 from .errors import DepthExceededError, EvaluationFailureError, UnknownFormatError
 
-NEG_INF = float("-inf")
-
 # Extended integer: a plain int, or NEG_INF.  NEG_INF absorbs addition and
 # compares below every int, which is exactly the arithmetic the tensor rule
 # needs; no other float ever enters these computations.
-ExtInt = "int | float"
+NEG_INF = float("-inf")
 
 
 class Crystal:

@@ -17,6 +17,7 @@ rounding anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .cartan import BorcherdsCartanDatum, Weight, weight_height
 from .errors import HeightExceededError, InexactDivisionError, NegativeCoordinateError
@@ -113,13 +114,6 @@ class Laurent:
         parts = [f"{c}*q^{e}" for e, c in sorted(self.coeffs.items())]
         return " + ".join(parts)
 
-    def sign_key(self) -> int:
-        """Sign of the highest-exponent coefficient (0 for the zero polynomial)."""
-        if not self.coeffs:
-            return 0
-        c = self.coeffs[max(self.coeffs)]
-        return 1 if c > 0 else -1
-
 
 def q_int(n: int) -> Laurent:
     """Balanced q-integer [n] = q^(n-1) + q^(n-3) + ... + q^(1-n)."""
@@ -159,37 +153,25 @@ def _word_weight(word: Word, n: int) -> Weight:
     return tuple(alpha)
 
 
-def _relation_sign_key(terms: list[tuple[Laurent, Word]]):
-    ordered = sorted(terms, key=lambda t: t[1])
-    lead_sign = next((c.sign_key() for c, _ in ordered if c), 1)
-    if lead_sign < 0:
-        ordered = [(-c, w) for c, w in ordered]
-    return tuple((w, tuple(sorted(c.coeffs.items()))) for c, w in ordered)
-
-
-def build_relations(datum: BorcherdsCartanDatum) -> list[Relation]:
-    """Defining relations of the lowering half.
+def build_relations(datum: BorcherdsCartanDatum, max_height: int = DEFAULT_HEIGHT_BOUND) -> list[Relation]:
+    """Defining relations of the lowering half, up to height `max_height`.
 
     Quantum Serre relations for every real index and every other index,
     plus commutators for every unordered pair with pairing zero; nothing
-    else.  Relations identical up to an overall sign are emitted once.
+    else.  When a_ij = 0 the Serre relation is the commutator ij - ji, so
+    it is emitted only once: from the smaller real index, or as a
+    commutator when both indices are imaginary.  Relations longer than
+    `max_height` are not built: they span no row at a weight of height
+    `max_height` or less.
     """
     n = datum.index_count
     out: list[Relation] = []
-    seen = set()
-
-    def push(terms: list[tuple[Laurent, Word]], weight: Weight) -> None:
-        key = _relation_sign_key(terms)
-        if key in seen:
-            return
-        seen.add(key)
-        out.append(Relation(tuple(terms), weight))
-
     for i in sorted(datum.real_indices):
         for j in range(1, n + 1):
-            if j == i:
+            a_ij = datum.a(i, j)
+            if j == i or 2 - a_ij > max_height or (a_ij == 0 and j < i and j in datum.real_indices):
                 continue
-            big_n = 1 - datum.a(i, j)
+            big_n = 1 - a_ij
             terms = []
             for k in range(big_n + 1):
                 coeff = q_binomial(big_n, k)
@@ -197,12 +179,12 @@ def build_relations(datum: BorcherdsCartanDatum) -> list[Relation]:
                     coeff = -coeff
                 word = (i,) * (big_n - k) + (j,) + (i,) * k
                 terms.append((coeff, word))
-            push(terms, _word_weight(terms[0][1], n))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if datum.a(i, j) == 0:
-                terms = [(Laurent.one(), (i, j)), (-Laurent.one(), (j, i))]
-                push(terms, _word_weight((i, j), n))
+            out.append(Relation(tuple(terms), _word_weight(terms[0][1], n)))
+    pairs = combinations(sorted(datum.imaginary_indices), 2) if max_height >= 2 else ()
+    for i, j in pairs:
+        if datum.a(i, j) == 0:
+            terms = ((Laurent.one(), (i, j)), (-Laurent.one(), (j, i)))
+            out.append(Relation(terms, _word_weight((i, j), n)))
     return out
 
 
@@ -273,7 +255,7 @@ def graded_dim(datum: BorcherdsCartanDatum, alpha: Weight,
     words = words_of_weight(alpha)
     index = {w: k for k, w in enumerate(words)}
     rows: list[list[Laurent]] = []
-    for rel in build_relations(datum):
+    for rel in build_relations(datum, weight_height(alpha)):
         gamma = tuple(a - b for a, b in zip(alpha, rel.weight))
         if any(c < 0 for c in gamma):
             continue

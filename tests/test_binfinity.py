@@ -12,7 +12,7 @@ from gkm_crystals.binfinity import (
 from gkm_crystals.cartan import validate_datum
 from gkm_crystals.crystal import check_strict_morphism, verify_axioms
 from gkm_crystals.elementary import ElementaryElement
-from gkm_crystals.errors import DepthExceededError
+from gkm_crystals.errors import DepthExceededError, InputError
 from gkm_crystals.oracle import graded_dim
 
 EXB = validate_datum([[0, -1], [-1, 2]])
@@ -35,9 +35,6 @@ LAYERS_4 = {
 def test_iota_sequence_basics():
     seq = IotaSequence.cyclic(3)
     assert seq.period == (1, 2, 3)
-    assert seq.index_at(1) == 1 and seq.index_at(4) == 1 and seq.index_at(6) == 3
-    assert seq.first_slot(2, after=0) == 2
-    assert seq.first_slot(2, after=2) == 5
     assert seq.i_first(3).period == (3, 1, 2, 3)
     assert seq.shifted().period == (2, 3, 1)
 
@@ -53,6 +50,12 @@ def test_iota_sequence_validation():
     assert IotaSequence.from_spec([2, 1], 2).period == (2, 1)
     with pytest.raises(ValueError):
         IotaSequence.from_spec("sideways", 2)
+
+
+@pytest.mark.parametrize("period", [["x", 2], [True, 2], [2.0, 1]])
+def test_iota_spec_entries_must_be_integers(period):
+    with pytest.raises(InputError):
+        IotaSequence.from_spec(period, 2)
 
 
 def test_element_canonical_form():

@@ -10,13 +10,11 @@ from gkm_crystals.cartan import (
     in_positive_cone,
     load_cartan,
     load_quiver,
-    negate_weight,
     pairing,
     quiver_to_cartan,
     simple_root,
     validate_datum,
     weight_height,
-    zero_weight,
 )
 from gkm_crystals.errors import (
     BadDiagonalError,
@@ -81,10 +79,8 @@ def test_datum_accessors():
 
 
 def test_weight_helpers():
-    assert zero_weight(3) == (0, 0, 0)
     assert simple_root(2, 2) == (0, 1)
     assert add_weights((1, 2), (3, -1)) == (4, 1)
-    assert negate_weight((1, -2)) == (-1, 2)
     assert weight_height((2, 3)) == 5
     assert in_positive_cone((0, 1)) and not in_positive_cone((1, -1))
     with pytest.raises(LengthMismatchError):
@@ -122,7 +118,6 @@ def test_quiver_construction():
     # bar arrows reverse their partners
     assert q.arrows[3].source == 2 and q.arrows[3].target == 1
     assert not q.arrows[2].in_omega
-    assert q.loop_positions() == (0, 2)
     assert q.weak_positions() == (2,)
     assert q.arrow_count(1, 2) == 1
 

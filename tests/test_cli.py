@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gkm_crystals import cli
+from gkm_crystals import cli, oracle
 from gkm_crystals.crystal import Violation
 from gkm_crystals.errors import InexactDivisionError, InternalInconsistencyError
 
@@ -118,10 +118,50 @@ def test_geom_report(files, capsys):
     assert out[3] == "(eps, eps*) = v1:(0,2) v2:(1,0)"
 
 
-def test_geom_flag_bound(files, capsys):
-    code = cli.main(["geom", "--rep", files["rep.json"], "--flag-bound", "2"])
-    assert code == 2
-    assert "exceeds the bound" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, name", [
+    (["dims", "--height", "2", "--oracle-bound", "8", "--cartan"], "exb.json"),
+    (["geom", "--flag-bound", "8", "--rep"], "rep.json"),
+], ids=["oracle-bound", "flag-bound"])
+def test_caps_are_not_options(files, capsys, argv, name):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [files[name]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+DEEP = b"[" * 50000 + b"]" * 50000
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["graph", "--depth", "1", "--cartan"], b'\xff\xfe{"matrix": [[2]]}'),
+    (["graph", "--depth", "1", "--cartan"], b'{"matrix": ' + DEEP + b"}"),
+    (["geom", "--rep"], b'{"quiver": ' + DEEP + b"}"),
+], ids=["undecodable", "nested-cartan", "nested-rep"])
+def test_unreadable_file_is_one_input_error(tmp_path, capsys, argv, payload):
+    path = tmp_path / "input.json"
+    path.write_bytes(payload)
+    assert cli.main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and len(captured.err.splitlines()) == 1
+
+
+def test_dims_large_entry_builds_only_short_relations(tmp_path, capsys, monkeypatch):
+    # The Serre relation of [[2, -a], [-a, 0]] has height a + 2, so it spans
+    # no row at height 5; building its q-binomials would cost about a**4.5.
+    q_binomial = oracle.q_binomial
+
+    def short_only(m, k):
+        assert m < 5, f"q-binomial [{m} choose {k}] built for weights of height <= 5"
+        return q_binomial(m, k)
+
+    monkeypatch.setattr(oracle, "q_binomial", short_only)
+    path = tmp_path / "large.json"
+    path.write_text('{"matrix": [[2, -1000000], [-1000000, 0]]}')
+    assert cli.main(["dims", "--cartan", str(path), "--height", "5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 22  # header plus the 21 weights of height <= 5
+    assert all(line.endswith("\tok") for line in out[1:])
 
 
 def test_input_errors_exit_two(files, capsys, tmp_path):

@@ -1,5 +1,8 @@
 """Graded-dimension oracle: Laurent arithmetic, relations, exact rank."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from gkm_crystals.cartan import validate_datum
@@ -61,6 +64,56 @@ def test_relation_counts():
     assert len(build_relations(validate_datum([[0, -1], [-1, 2]]))) == 1
     assert len(build_relations(validate_datum([[-2]]))) == 0
     assert len(build_relations(validate_datum([[0, -1], [-1, 0]]))) == 0
+
+
+# The acceptance-gate matrices and the mixed rank-3 matrix M3.
+GATE_MATRICES = [
+    [[2]], [[0]], [[-2]], [[2, -1], [-1, 2]], [[0, -1], [-1, 2]], [[0, -1], [-1, 0]],
+    [[-2, -1], [-1, 2]], [[2, -1, 0], [-1, 0, -1], [0, -1, 2]],
+]
+
+
+def _random_matrices(count: int, seed: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        matrix = [[0] * n for _ in range(n)]
+        for i in range(n):
+            matrix[i][i] = rng.choice([2, 2, 0, -2])
+            for j in range(i + 1, n):
+                matrix[i][j] = matrix[j][i] = rng.choice([0, 0, -1, -2, -3])
+        yield matrix
+
+
+def test_relations_are_distinct_by_construction():
+    # One relation per real index i and j != i with a_ij != 0, and one per
+    # pair with a_ij = 0.  Relations equal up to sign share a weight, so
+    # distinct weights also rule those out.
+    for matrix in GATE_MATRICES + list(_random_matrices(300, seed=5)):
+        d = validate_datum(matrix)
+        n = d.index_count
+        expected = []
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                root = [0] * n
+                root[i - 1] += 1 - d.a(i, j)
+                root[j - 1] += 1
+                if (j != i and d.a(i, j) != 0 and d.is_real(i)) or (i < j and d.a(i, j) == 0):
+                    expected.append(tuple(root))
+        weights = [r.weight for r in build_relations(d)]
+        assert Counter(weights) == Counter(expected), matrix
+        assert len(set(weights)) == len(weights), matrix
+
+
+def test_relations_stop_at_max_height():
+    d = validate_datum([[2, -3, 0], [-3, 2, 0], [0, 0, 0]])
+    assert build_relations(d, 1) == []
+    assert [r.weight for r in build_relations(d, 2)] == [(1, 0, 1), (0, 1, 1)]
+    assert [r.weight for r in build_relations(d, 5)] == [(4, 1, 0), (1, 0, 1), (1, 4, 0), (0, 1, 1)]
+    assert build_relations(d, 5) == build_relations(d)
+    orthogonal = validate_datum([[0, 0], [0, -2]])
+    assert build_relations(orthogonal, 1) == []
+    assert [r.weight for r in build_relations(orthogonal, 2)] == [(1, 1)]
 
 
 def test_relation_weights_and_shape():
