@@ -8,7 +8,9 @@ graded dimension at alpha is then
 
     #words(alpha) - rank(relation span inside the word space)
 
-computed exactly over Z[q, q^-1] with fraction-free (Bareiss) elimination.
+computed exactly over Z[q, q^-1] with fraction-free (Bareiss) elimination
+on sparse rows: the row of u * r * v has entries only at the words u * w * v
+for the terms w of r, so each row is a dict from column to nonzero entry.
 Every coefficient is an integer Laurent polynomial in q and every division
 performed is exact; a remainder raises InexactDivisionError instead of
 rounding anything.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cartan import BorcherdsCartanDatum, Weight, weight_height
-from .errors import HeightExceededError, InexactDivisionError, NegativeCoordinateError
+from .errors import HeightExceededError, InexactDivisionError, LengthMismatchError, NegativeCoordinateError
 
 Word = tuple[int, ...]
 
@@ -42,14 +44,6 @@ class Laurent:
     @classmethod
     def one(cls) -> "Laurent":
         return cls({0: 1})
-
-    @classmethod
-    def from_int(cls, n: int) -> "Laurent":
-        return cls({0: n})
-
-    @classmethod
-    def q_power(cls, e: int) -> "Laurent":
-        return cls({e: 1})
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -76,9 +70,6 @@ class Laurent:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return Laurent(out)
-
-    def scale(self, n: int) -> "Laurent":
-        return Laurent({e: n * c for e, c in self.coeffs.items()})
 
     def exact_div(self, other: "Laurent") -> "Laurent":
         """Exact quotient self / other.  Raises InexactDivisionError on a remainder."""
@@ -212,30 +203,36 @@ def words_of_weight(alpha: Weight) -> list[Word]:
     return out
 
 
-def laurent_rank(rows: list[list[Laurent]], ncols: int) -> int:
+def laurent_rank(rows: list[dict[int, Laurent]], ncols: int) -> int:
     """Rank over the fraction field of Z[q, q^-1] by fraction-free elimination.
 
-    One-step Bareiss: every division by the previous pivot is exact in the
-    Laurent ring, which keeps coefficient growth polynomial and exactness
-    guaranteed (a remainder would raise).
+    Each row is sparse: a dict from column to entry, zero entries dropped.
+    One-step Bareiss: the pivot in column c is the first remaining row with
+    an entry there, and every nonempty row below it becomes (piv * row -
+    lead * pivot row) / prev over the union of the two rows' columns, a row
+    with no entry in c included.  Every division by the previous pivot is
+    exact in the Laurent ring, which keeps coefficient growth polynomial and
+    exactness guaranteed (a remainder would raise).  A row that becomes empty
+    keeps its place, so the pivot sequence is that of the same elimination
+    on dense rows.
     """
-    work = [list(row) for row in rows]
+    zero = Laurent.zero()
+    work = [{j: x for j, x in row.items() if x} for row in rows]
     prev = Laurent.one()
     r = 0
     for c in range(ncols):
-        if r == len(work):
-            break
-        pivot = next((k for k in range(r, len(work)) if work[k][c]), None)
+        pivot = next((k for k in range(r, len(work)) if c in work[k]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        piv = work[r][c]
+        top = work[r]
+        piv = top[c]
         for k in range(r + 1, len(work)):
-            if not any(work[k][j] for j in range(c, ncols)):
-                continue
-            lead = work[k][c]
-            for j in range(ncols):
-                work[k][j] = (piv * work[k][j] - lead * work[r][j]).exact_div(prev)
+            row = work[k]
+            lead = row.get(c, zero)
+            cols = row.keys() | top.keys() if lead else row.keys()
+            work[k] = {j: x for j in cols
+                       if (x := (piv * row.get(j, zero) - lead * top.get(j, zero)).exact_div(prev))}
         prev = piv
         r += 1
     return r
@@ -245,16 +242,19 @@ def graded_dim(datum: BorcherdsCartanDatum, alpha: Weight,
                height_bound: int = DEFAULT_HEIGHT_BOUND) -> int:
     """Dimension of the weight-(-alpha) space of the lowering half.
 
-    alpha must lie in the positive cone with height at most `height_bound`
-    (exact elimination cost grows quickly past small heights).
+    alpha must have one coordinate per index and lie in the positive cone
+    with height at most `height_bound` (exact elimination cost grows quickly
+    past small heights).
     """
+    if len(alpha) != datum.index_count:
+        raise LengthMismatchError(f"weight length {len(alpha)} != rank {datum.index_count}")
     if any(c < 0 for c in alpha):
         raise NegativeCoordinateError(f"weight {alpha} leaves the positive cone")
     if weight_height(alpha) > height_bound:
         raise HeightExceededError(f"height {weight_height(alpha)} exceeds the bound {height_bound}")
     words = words_of_weight(alpha)
     index = {w: k for k, w in enumerate(words)}
-    rows: list[list[Laurent]] = []
+    rows: list[dict[int, Laurent]] = []
     for rel in build_relations(datum, weight_height(alpha)):
         gamma = tuple(a - b for a, b in zip(alpha, rel.weight))
         if any(c < 0 for c in gamma):
@@ -263,8 +263,6 @@ def graded_dim(datum: BorcherdsCartanDatum, alpha: Weight,
         for uv in words_of_weight(gamma):
             for cut in range(len(uv) + 1):
                 u, v = uv[:cut], uv[cut:]
-                row = [Laurent.zero() for _ in words]
-                for coeff, w in rel.terms:
-                    row[index[u + w + v]] = row[index[u + w + v]] + coeff
-                rows.append(row)
+                # The words of one relation are distinct, so its terms land in distinct columns.
+                rows.append({index[u + w + v]: coeff for coeff, w in rel.terms})
     return len(words) - laurent_rank(rows, len(words))

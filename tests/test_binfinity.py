@@ -19,6 +19,7 @@ EXB = validate_datum([[0, -1], [-1, 2]])
 A2 = validate_datum([[2, -1], [-1, 2]])
 TWO_IMAG = validate_datum([[0, -1], [-1, 0]])
 GAP = validate_datum([[-2, -1], [-1, 2]])
+M3 = validate_datum([[2, -1, 0], [-1, 0, -1], [0, -1, 2]])
 
 # layer sizes at depth 4, frozen after cross-checking the graded counts
 # against the independent oracle at every height <= 6
@@ -145,6 +146,12 @@ def test_graded_counts_match_oracle():
     for alpha, count in counts.items():
         assert count == graded_dim(EXB, alpha)
     assert counts[(2, 1)] == 3 and counts[(3, 1)] == 4
+
+
+def test_height_seven_counts_match_oracle_on_m3():
+    counts = graded_counts(BInfinityCrystal(M3), 7)
+    for alpha, expected in [((2, 3, 2), 49), ((2, 2, 3), 16)]:
+        assert counts[alpha] == graded_dim(M3, alpha) == expected
 
 
 def test_axioms_on_enumerations():

@@ -124,7 +124,7 @@ def _integer_rank(rows, width: int) -> int:
     scaled = []
     for row in rows:
         lcm = math.lcm(*(a.denominator for a in row)) if row else 1
-        scaled.append([Laurent.from_int(int(a * lcm)) for a in row])
+        scaled.append({j: Laurent({0: int(a * lcm)}) for j, a in enumerate(row) if a})
     return laurent_rank(scaled, width)
 
 

@@ -6,7 +6,12 @@ from collections import Counter
 import pytest
 
 from gkm_crystals.cartan import validate_datum
-from gkm_crystals.errors import HeightExceededError, InexactDivisionError, NegativeCoordinateError
+from gkm_crystals.errors import (
+    HeightExceededError,
+    InexactDivisionError,
+    LengthMismatchError,
+    NegativeCoordinateError,
+)
 from gkm_crystals.oracle import (
     Laurent,
     build_relations,
@@ -18,8 +23,8 @@ from gkm_crystals.oracle import (
     words_of_weight,
 )
 
-Q1 = Laurent.q_power(1)
-QM1 = Laurent.q_power(-1)
+Q1 = Laurent({1: 1})
+QM1 = Laurent({-1: 1})
 
 
 def test_laurent_arithmetic():
@@ -27,12 +32,12 @@ def test_laurent_arithmetic():
     assert Q1 * QM1 == Laurent.one()
     assert (Q1 - Q1) == Laurent.zero()
     assert not Laurent.zero()
-    assert Laurent.from_int(3).scale(2) == Laurent.from_int(6)
+    assert Laurent({0: 3}) * Laurent({0: 2}) == Laurent({0: 6})
     assert -q_int(2) == Laurent({1: -1, -1: -1})
 
 
 def test_laurent_exact_division():
-    num = Laurent.q_power(2) - Laurent.q_power(-2)
+    num = Laurent({2: 1}) - Laurent({-2: 1})
     den = Q1 - QM1
     assert num.exact_div(den) == q_int(2)
     assert (q_int(3) * q_int(2)).exact_div(q_int(2)) == q_int(3)
@@ -134,12 +139,62 @@ def test_words_of_weight():
 def test_laurent_rank():
     one = Laurent.one()
     zero = Laurent.zero()
-    assert laurent_rank([[one, zero], [zero, one]], 2) == 2
+    assert laurent_rank([{0: one}, {1: one}], 2) == 2
     # second row is q times the first
-    assert laurent_rank([[one, Q1], [Q1, Laurent.q_power(2)]], 2) == 1
-    assert laurent_rank([[zero, zero]], 2) == 0
+    assert laurent_rank([{0: one, 1: Q1}, {0: Q1, 1: Laurent({2: 1})}], 2) == 1
+    assert laurent_rank([{}], 2) == 0
     assert laurent_rank([], 2) == 0
-    assert laurent_rank([[Q1 + QM1, one], [one, zero]], 2) == 2
+    assert laurent_rank([{0: Q1 + QM1, 1: one}, {0: one}], 2) == 2
+
+
+def _dense_bareiss_rank(rows: list[list[Laurent]], ncols: int) -> int:
+    """Reference: one-step Bareiss over dense rows, every column of every row updated."""
+    work = [list(row) for row in rows]
+    prev = Laurent.one()
+    r = 0
+    for c in range(ncols):
+        pivot = next((k for k in range(r, len(work)) if work[k][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for k in range(r + 1, len(work)):
+            lead = work[k][c]
+            work[k] = [(work[r][c] * x - lead * y).exact_div(prev) for x, y in zip(work[k], work[r])]
+        prev = work[r][c]
+        r += 1
+    return r
+
+
+def _random_laurent(rng: random.Random) -> Laurent:
+    return Laurent({rng.randint(-2, 2): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))})
+
+
+def _random_laurent_rows(rng: random.Random, width: int) -> list[list[Laurent]]:
+    """Random dense rows with zero rows, duplicate rows and Laurent combinations of earlier rows."""
+    rows: list[list[Laurent]] = []
+    for _ in range(rng.randint(0, 7)):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append([Laurent.zero()] * width)
+        elif roll < 0.25 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif roll < 0.45 and len(rows) >= 2:
+            x, y = rng.sample(rows, 2)
+            a, b = _random_laurent(rng), _random_laurent(rng)
+            rows.append([a * s + b * t for s, t in zip(x, y)])
+        else:
+            rows.append([_random_laurent(rng) if rng.random() < 0.4 else Laurent.zero() for _ in range(width)])
+    return rows
+
+
+def test_laurent_rank_matches_dense_bareiss():
+    rng = random.Random(8105493)
+    for _ in range(400):
+        width = rng.randint(0, 6)
+        dense = _random_laurent_rows(rng, width)
+        # Sparse rows omit most zero entries; an explicit zero must not act as a pivot.
+        sparse = [{j: x for j, x in enumerate(row) if x or rng.random() < 0.2} for row in dense]
+        assert laurent_rank(sparse, width) == _dense_bareiss_rank(dense, width), dense
 
 
 RANK1_DATA = [[[2]], [[0]], [[-2]]]
@@ -182,4 +237,8 @@ def test_graded_dim_input_guards():
         graded_dim(d, (-1, 0))
     with pytest.raises(HeightExceededError):
         graded_dim(d, (5, 3))
+    with pytest.raises(LengthMismatchError):
+        graded_dim(d, (1, 1, 1))
+    with pytest.raises(LengthMismatchError):
+        graded_dim(validate_datum(GATE_MATRICES[-1]), (1, 1))
     assert graded_dim(d, (5, 3), height_bound=8) == 4
