@@ -100,18 +100,16 @@ class BInfinityCrystal(Crystal):
 
     Realizations over one datum form a family: `realization_with` returns
     one cached member per iota, and all members share one `gap_events`
-    list.  With recording on, it holds each distinct (element key, index)
-    pair at which the imaginary annihilation gap fired, once, in
-    first-firing order, so the transport memos cannot change it.
+    log.  It is a dict used as an ordered set: its keys are the distinct
+    (element key, index) pairs at which the imaginary annihilation gap
+    fired, in first-firing order, so the transport memos cannot change it.
     """
 
-    def __init__(self, datum: BorcherdsCartanDatum, iota: IotaSequence | None = None,
-                 record_gap_events: bool = False):
+    def __init__(self, datum: BorcherdsCartanDatum, iota: IotaSequence | None = None):
         self.datum = datum
         self.iota = iota if iota is not None else IotaSequence.cyclic(datum.index_count)
         self.iota.validate_for(datum.index_count)
-        self.record_gap_events = record_gap_events
-        self.gap_events: list[tuple[str, int]] = []
+        self.gap_events: dict[tuple[str, int], None] = {}
         self._family: dict[IotaSequence, BInfinityCrystal] = {self.iota: self}
         self._steps: dict[tuple[int, ...], tuple[int, BInfElement]] = {}  # next raising step
         self._images: dict[tuple[IotaSequence, tuple[int, ...]], BInfElement] = {}
@@ -212,8 +210,7 @@ class BInfinityCrystal(Crystal):
             if side:
                 continue
             if side is None:  # eps < phi <= eps - a_ii: annihilation gap
-                if self.record_gap_events and (self.key(b), i) not in self.gap_events:
-                    self.gap_events.append((self.key(b), i))
+                self.gap_events[self.key(b), i] = None
                 return None
             if raising and entries[m] == 0:
                 return None  # raising a level-0 factor vanishes
@@ -239,7 +236,7 @@ class BInfinityCrystal(Crystal):
         """The family's realization over `iota`, built on first request."""
         other = self._family.get(iota)
         if other is None:
-            other = BInfinityCrystal(self.datum, iota, record_gap_events=self.record_gap_events)
+            other = BInfinityCrystal(self.datum, iota)
             other.gap_events, other._family = self.gap_events, self._family
             self._family[iota] = other
         return other
@@ -309,8 +306,7 @@ class BInfinityCrystal(Crystal):
 
     def psi_morphism(self, i: int):
         """(psi, target) pair for strict-morphism checking of psi_embed at index i."""
-        target = TensorCrystal(self, ElementaryCrystal(self.datum, i),
-                               record_gap_events=self.record_gap_events)
+        target = TensorCrystal(self, ElementaryCrystal(self.datum, i))
         target.gap_events = self.gap_events
 
         def psi(b: BInfElement) -> TensorElement:

@@ -14,15 +14,17 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BadDiagonalError,
+    DimensionExceededError,
     IndexOutOfRangeError,
     InputError,
     LengthMismatchError,
-    NegativeCoordinateError,
     NotSymmetricError,
     PositiveOffDiagonalError,
 )
 
 Weight = tuple[int, ...]
+
+MAX_RANK = 16  # largest index (vertex) count accepted; verify's cost grows steeply with rank
 
 
 def simple_root(n: int, i: int) -> Weight:
@@ -40,10 +42,6 @@ def add_weights(u: Weight, v: Weight) -> Weight:
 
 def weight_height(u: Weight) -> int:
     return sum(u)
-
-
-def in_positive_cone(u: Weight) -> bool:
-    return all(a >= 0 for a in u)
 
 
 @dataclass(frozen=True)
@@ -75,13 +73,16 @@ class BorcherdsCartanDatum:
 def validate_datum(matrix) -> BorcherdsCartanDatum:
     """Validate a raw square matrix and classify its indices.
 
-    Raises NotSymmetricError, BadDiagonalError or PositiveOffDiagonalError
-    on the first violated condition.
+    Raises DimensionExceededError above MAX_RANK indices, then
+    NotSymmetricError, BadDiagonalError or PositiveOffDiagonalError on the
+    first violated condition.
     """
     rows = [tuple(row) for row in matrix]
     n = len(rows)
     if n == 0:
         raise InputError("empty matrix")
+    if n > MAX_RANK:
+        raise DimensionExceededError(f"rank {n} exceeds the bound {MAX_RANK}")
     for row in rows:
         if len(row) != n:
             raise NotSymmetricError("matrix is not square")
@@ -112,24 +113,6 @@ def pairing(datum: BorcherdsCartanDatum, i: int, w: Weight) -> int:
         raise LengthMismatchError(f"weight length {len(w)} != rank {datum.index_count}")
     row = datum.matrix[i - 1]
     return sum(c * a for c, a in zip(w, row))
-
-
-def bilinear_form(datum: BorcherdsCartanDatum, u: Weight, v: Weight) -> int:
-    """Symmetric form (u, v) = sum_ij u_i a_ij v_j on the root lattice."""
-    n = datum.index_count
-    if len(u) != n or len(v) != n:
-        raise LengthMismatchError("weight length does not match the matrix rank")
-    return sum(u[i] * datum.matrix[i][j] * v[j] for i in range(n) for j in range(n))
-
-
-def dim_x(datum: BorcherdsCartanDatum, alpha: Weight) -> int:
-    """Dimension ((2*Id - A)alpha, alpha) of the arrow space at dimension vector alpha.
-
-    alpha must lie in the positive cone of the root lattice.
-    """
-    if not in_positive_cone(alpha):
-        raise NegativeCoordinateError(f"dimension vector {alpha} has a negative coordinate")
-    return 2 * sum(a * a for a in alpha) - bilinear_form(datum, alpha, alpha)
 
 
 @dataclass(frozen=True)
@@ -224,13 +207,13 @@ def load_quiver(source) -> Quiver:
     vertices = data["vertices"]
     if not isinstance(vertices, int) or isinstance(vertices, bool) or vertices < 1:
         raise InputError('"vertices" must be a positive integer')
+    if vertices > MAX_RANK:
+        raise DimensionExceededError(f"{vertices} vertices exceed the bound {MAX_RANK}")
     pairs = data["omega_arrows"]
     if not isinstance(pairs, list):
         raise InputError('"omega_arrows" must be a list')
-    cleaned = []
     for p in pairs:
         if not isinstance(p, list) or len(p) != 2 or not all(
                 isinstance(v, int) and not isinstance(v, bool) for v in p):
             raise InputError(f"bad arrow entry {p!r}; expected [source, target]")
-        cleaned.append((p[0], p[1]))
-    return Quiver.from_omega_arrows(vertices, cleaned)
+    return Quiver.from_omega_arrows(vertices, pairs)

@@ -18,6 +18,7 @@ compares the crystal with itself.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from .binfinity import (
@@ -104,7 +105,7 @@ def cmd_dims(args) -> tuple[int, str]:
     out = ["weight\tcrystal\toracle\tmatch\n"]
     for alpha in weights:
         crystal_count = counts.get(alpha, 0)
-        oracle_count = graded_dim(crystal.datum, alpha, DEFAULT_HEIGHT_BOUND)
+        oracle_count = graded_dim(crystal.datum, alpha)
         ok = crystal_count == oracle_count
         if not ok:
             mismatches += 1
@@ -115,17 +116,10 @@ def cmd_dims(args) -> tuple[int, str]:
 
 
 def _positive_weights(n: int, max_height: int):
-    out = []
-
-    def rec(prefix, remaining_slots, budget):
-        if remaining_slots == 0:
-            out.append(tuple(prefix))
-            return
-        for c in range(budget + 1):
-            rec(prefix + [c], remaining_slots - 1, budget - c)
-
-    rec([], n, max_height)
-    return sorted(out, key=lambda a: (weight_height(a), a))
+    # One weight per multiset of at most max_height indices: no (max_height + 1)^n walk.
+    weights = (tuple(map(letters.count, range(n)))
+               for h in range(max_height + 1) for letters in itertools.combinations_with_replacement(range(n), h))
+    return sorted(weights, key=lambda a: (weight_height(a), a))
 
 
 def cmd_verify(args) -> tuple[int, str]:
@@ -180,7 +174,7 @@ def cmd_geom(args) -> tuple[int, str]:
     for i in range(1, nv + 1):
         mu_parts.append(f"v{i}:{'zero' if moment_map(rep, i).is_zero() else 'NONZERO'}")
     out = ["moment map: " + " ".join(mu_parts) + "\n"]
-    witness = flag_exists(rep, max_total_dim=DEFAULT_FLAG_DIM_BOUND)
+    witness = flag_exists(rep)
     if witness is None:
         out.append("flag: not found (rational search)\n")
     else:

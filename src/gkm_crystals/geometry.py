@@ -11,6 +11,7 @@ closures of arrow images under the loop algebra.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -24,6 +25,9 @@ from .errors import (
 from .exactlin import EchelonBasis, RatMat, Vec, charpoly, is_squarefree, nullspace, rational_roots
 
 DEFAULT_FLAG_DIM_BOUND = 6
+
+# The one string form of a rational entry; Fraction also takes "1e1000000000", which never finishes.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -56,10 +60,10 @@ def _parse_entry(x) -> Q:
         raise InputError(f"bad matrix entry {x!r}")
     if isinstance(x, int):
         return Q(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
         try:
             return Q(x)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:  # a zero denominator or too many digits
             raise InputError(f"bad rational entry {x!r}") from exc
     raise InputError(f"bad matrix entry {x!r}")
 
@@ -109,6 +113,8 @@ def star_rep(rep: QuiverRep) -> QuiverRep:
 
 def moment_map(rep: QuiverRep, i: int) -> RatMat:
     """sum over arrows h leaving i of sign(h) * B_hbar B_h, an endomorphism of V_i."""
+    if not 1 <= i <= rep.quiver.vertex_count:
+        raise InputError(f"vertex {i} out of range")
     d = rep.dims[i - 1]
     acc = RatMat.zeros(d, d)
     for k, arrow in enumerate(rep.quiver.arrows):
@@ -133,17 +139,6 @@ def regular_semisimple_verdicts(rep: QuiverRep) -> dict[int, bool]:
 
 def regular_semisimple_check(rep: QuiverRep) -> bool:
     return all(regular_semisimple_verdicts(rep).values())
-
-
-def symplectic_form(r1: QuiverRep, r2: QuiverRep) -> Q:
-    """omega(B, B') = sum_h sign(h) Tr(B_hbar B'_h); antisymmetric and bilinear."""
-    if r1.quiver != r2.quiver or r1.dims != r2.dims:
-        raise ShapeMismatchError("representations live on different quivers or dimension vectors")
-    total = Q(0)
-    for k, arrow in enumerate(r1.quiver.arrows):
-        term = (r1.mats[r1.quiver.partner(k)] @ r2.mats[k]).trace()
-        total += term if arrow.in_omega else -term
-    return total
 
 
 # -- crystal statistics at a point ------------------------------------------
@@ -318,18 +313,19 @@ def _triangularize(ops: list[RatMat], q: int) -> list[Vec] | None:
     return None
 
 
-def flag_exists(rep: QuiverRep, max_total_dim: int = DEFAULT_FLAG_DIM_BOUND) -> FlagWitness | None:
+def flag_exists(rep: QuiverRep) -> FlagWitness | None:
     """Search for a graded complete flag witness rational over Q.
 
     Strict arrows (everything except Omega-bar loops) must map each flag
     piece into the previous one; Omega-bar loops must preserve each piece.
     The filtration by repeated strict-image closures decides nilpotency;
     within each filtration layer the weak loops must triangularize.
-    Returns a FlagWitness (steps from the bottom) or None.
+    Returns a FlagWitness (steps from the bottom) or None.  The total
+    dimension must be at most DEFAULT_FLAG_DIM_BOUND.
     """
     total = rep.total_dim()
-    if total > max_total_dim:
-        raise DimensionExceededError(f"total dimension {total} exceeds the bound {max_total_dim}")
+    if total > DEFAULT_FLAG_DIM_BOUND:
+        raise DimensionExceededError(f"total dimension {total} exceeds the bound {DEFAULT_FLAG_DIM_BOUND}")
     nv = rep.quiver.vertex_count
     weak = set(rep.quiver.weak_positions())
     strict = [k for k in range(len(rep.quiver.arrows)) if k not in weak]

@@ -72,32 +72,30 @@ class Laurent:
         return Laurent(out)
 
     def exact_div(self, other: "Laurent") -> "Laurent":
-        """Exact quotient self / other.  Raises InexactDivisionError on a remainder."""
+        """Exact quotient self / other by long division from the top term.  Raises
+        InexactDivisionError when a top coefficient is not divisible by the divisor's
+        lead or a quotient exponent falls below min(self) - min(other)."""
         if not other:
             raise InexactDivisionError("division by the zero polynomial")
-        if not self:
-            return Laurent.zero()
-        lo_s, hi_s = min(self.coeffs), max(self.coeffs)
-        lo_o, hi_o = min(other.coeffs), max(other.coeffs)
-        num = [self.coeffs.get(e, 0) for e in range(lo_s, hi_s + 1)]
-        den = [other.coeffs.get(e, 0) for e in range(lo_o, hi_o + 1)]
-        if len(num) < len(den):
-            raise InexactDivisionError("quotient would not be polynomial")
-        lead = den[-1]
-        quot = [0] * (len(num) - len(den) + 1)
-        for k in range(len(quot) - 1, -1, -1):
-            top = num[k + len(den) - 1]
-            if top % lead != 0:
-                raise InexactDivisionError(f"coefficient {top} not divisible by {lead}")
-            q = top // lead
-            quot[k] = q
-            if q:
-                for j, d in enumerate(den):
-                    num[k + j] -= q * d
-        if any(num):
-            raise InexactDivisionError("nonzero remainder in exact division")
-        offset = lo_s - lo_o
-        return Laurent({offset + k: c for k, c in enumerate(quot)})
+        rest, quot = dict(self.coeffs), {}
+        top_o = max(other.coeffs)
+        lead, floor = other.coeffs[top_o], min(rest, default=0) - min(other.coeffs)
+        while rest:
+            top = max(rest)
+            e = top - top_o
+            if e < floor:
+                raise InexactDivisionError("nonzero remainder in exact division")
+            q, r = divmod(rest[top], lead)
+            if r:
+                raise InexactDivisionError(f"coefficient {rest[top]} not divisible by {lead}")
+            quot[e] = q
+            for eo, co in other.coeffs.items():
+                # q and co are nonzero, so an exponent absent from rest comes back nonzero.
+                if x := rest.get(e + eo, 0) - q * co:
+                    rest[e + eo] = x
+                else:
+                    del rest[e + eo]
+        return Laurent(quot)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -238,20 +236,19 @@ def laurent_rank(rows: list[dict[int, Laurent]], ncols: int) -> int:
     return r
 
 
-def graded_dim(datum: BorcherdsCartanDatum, alpha: Weight,
-               height_bound: int = DEFAULT_HEIGHT_BOUND) -> int:
+def graded_dim(datum: BorcherdsCartanDatum, alpha: Weight) -> int:
     """Dimension of the weight-(-alpha) space of the lowering half.
 
     alpha must have one coordinate per index and lie in the positive cone
-    with height at most `height_bound` (exact elimination cost grows quickly
-    past small heights).
+    with height at most DEFAULT_HEIGHT_BOUND (exact elimination cost grows
+    quickly past small heights).
     """
     if len(alpha) != datum.index_count:
         raise LengthMismatchError(f"weight length {len(alpha)} != rank {datum.index_count}")
     if any(c < 0 for c in alpha):
         raise NegativeCoordinateError(f"weight {alpha} leaves the positive cone")
-    if weight_height(alpha) > height_bound:
-        raise HeightExceededError(f"height {weight_height(alpha)} exceeds the bound {height_bound}")
+    if weight_height(alpha) > DEFAULT_HEIGHT_BOUND:
+        raise HeightExceededError(f"height {weight_height(alpha)} exceeds the bound {DEFAULT_HEIGHT_BOUND}")
     words = words_of_weight(alpha)
     index = {w: k for k, w in enumerate(words)}
     rows: list[dict[int, Laurent]] = []

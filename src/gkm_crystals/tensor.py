@@ -47,18 +47,17 @@ def route(raising: bool, real: bool, aii: int, phi_left, eps_right):
 
 
 class TensorCrystal(Crystal):
-    """Binary tensor product.  With recording on, `gap_events` lists each
-    distinct (element key, index) pair at which the imaginary annihilation
-    gap fired, once, in first-firing order (shared by `psi_morphism`)."""
+    """Binary tensor product.  `gap_events` is a dict used as an ordered set
+    of the distinct (element key, index) pairs at which the imaginary
+    annihilation gap fired, in first-firing order (shared by `psi_morphism`)."""
 
-    def __init__(self, left: Crystal, right: Crystal, record_gap_events: bool = False):
+    def __init__(self, left: Crystal, right: Crystal):
         if left.datum != right.datum:
             raise InputError("tensor factors live over different data")
         self.datum = left.datum
         self.left = left
         self.right = right
-        self.record_gap_events = record_gap_events
-        self.gap_events: list[tuple[str, int]] = []
+        self.gap_events: dict[tuple[str, int], None] = {}
 
     def pair(self, left, right) -> TensorElement:
         return TensorElement(left, right)
@@ -76,8 +75,7 @@ class TensorCrystal(Crystal):
         side = route(raising, self.datum.is_real(i), self.datum.a(i, i),
                      self.left.phi(i, b.left), self.right.eps(i, b.right))
         if side is None:
-            if self.record_gap_events and (self.key(b), i) not in self.gap_events:
-                self.gap_events.append((self.key(b), i))
+            self.gap_events[self.key(b), i] = None
             return None
         op = "e" if raising else "f"
         if side:

@@ -172,7 +172,7 @@ def test_criterion_7_strict_embeddings_with_gap():
     problems = []
     for matrix in CROSS_CHECK_MATRICES + [GAP_MATRIX]:
         datum = validate_datum(matrix)
-        crystal = BInfinityCrystal(datum, record_gap_events=True)
+        crystal = BInfinityCrystal(datum)
         elements, _, _ = crystal.enumerate_to_depth(4)
         for i in range(1, datum.index_count + 1):
             psi, target = crystal.psi_morphism(i)

@@ -225,7 +225,7 @@ def test_psi_is_strict_embedding(datum):
 
 
 def test_gap_events_recorded_on_raising_descent():
-    c = BInfinityCrystal(GAP, record_gap_events=True)
+    c = BInfinityCrystal(GAP)
     elements, _, _ = c.enumerate_to_depth(4)
     for b in elements:
         for i in (1, 2):
@@ -249,12 +249,12 @@ GAP_EVENTS_CRITERION_7 = [
 
 
 def test_gap_events_are_distinct_pairs_in_first_firing_order():
-    c = BInfinityCrystal(GAP, record_gap_events=True)
+    c = BInfinityCrystal(GAP)
     elements, _, _ = c.enumerate_to_depth(4)
     for i in (1, 2):
         psi, target = c.psi_morphism(i)
         assert check_strict_morphism(psi, elements, c, target) == []
-    assert c.gap_events == GAP_EVENTS_CRITERION_7
+    assert list(c.gap_events) == GAP_EVENTS_CRITERION_7
 
 
 def test_enumeration_cap():

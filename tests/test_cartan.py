@@ -3,11 +3,9 @@
 import pytest
 
 from gkm_crystals.cartan import (
+    MAX_RANK,
     Quiver,
     add_weights,
-    bilinear_form,
-    dim_x,
-    in_positive_cone,
     load_cartan,
     load_quiver,
     pairing,
@@ -18,10 +16,10 @@ from gkm_crystals.cartan import (
 )
 from gkm_crystals.errors import (
     BadDiagonalError,
+    DimensionExceededError,
     IndexOutOfRangeError,
     InputError,
     LengthMismatchError,
-    NegativeCoordinateError,
     NotSymmetricError,
     PositiveOffDiagonalError,
 )
@@ -82,7 +80,6 @@ def test_weight_helpers():
     assert simple_root(2, 2) == (0, 1)
     assert add_weights((1, 2), (3, -1)) == (4, 1)
     assert weight_height((2, 3)) == 5
-    assert in_positive_cone((0, 1)) and not in_positive_cone((1, -1))
     with pytest.raises(LengthMismatchError):
         add_weights((1,), (1, 2))
 
@@ -92,23 +89,8 @@ def test_pairing_and_form():
     # <h_i, alpha_j> = a_ij
     assert pairing(d, 1, (1, 0)) == 2
     assert pairing(d, 1, (0, 1)) == -1
-    assert bilinear_form(d, (1, 0), (0, 1)) == -1
-    assert bilinear_form(d, (1, 1), (1, 1)) == 2
     with pytest.raises(LengthMismatchError):
         pairing(d, 1, (1,))
-
-
-def test_dim_x_values():
-    a2 = validate_datum([[2, -1], [-1, 2]])
-    exb = validate_datum([[0, -1], [-1, 2]])
-    # one arrow pair between the vertices
-    assert dim_x(a2, (1, 1)) == 2
-    # one loop pair at the imaginary vertex
-    assert dim_x(exb, (1, 0)) == 2
-    assert dim_x(exb, (2, 1)) == 12
-    assert dim_x(a2, (0, 0)) == 0
-    with pytest.raises(NegativeCoordinateError):
-        dim_x(a2, (-1, 0))
 
 
 def test_quiver_construction():
@@ -157,3 +139,16 @@ def test_load_quiver():
         load_quiver('{"vertices": "x", "omega_arrows": []}')
     with pytest.raises(InputError):
         load_quiver('{"vertices": 1, "omega_arrows": [[1]]}')
+
+
+def test_rank_bound():
+    def diagonal(n):
+        return [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    assert validate_datum(diagonal(MAX_RANK)).index_count == MAX_RANK
+    assert load_quiver({"vertices": MAX_RANK, "omega_arrows": []}).vertex_count == MAX_RANK
+    with pytest.raises(DimensionExceededError):
+        validate_datum(diagonal(MAX_RANK + 1))
+    # load_quiver rejects before quiver_to_cartan builds any vertices x vertices matrix.
+    with pytest.raises(DimensionExceededError):
+        load_quiver({"vertices": 10**9, "omega_arrows": []})

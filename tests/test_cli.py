@@ -1,10 +1,12 @@
 """End-to-end command-line checks, including failure exit codes."""
 
 import json
+import time
 
 import pytest
 
 from gkm_crystals import cli, oracle
+from gkm_crystals.cartan import MAX_RANK
 from gkm_crystals.crystal import Violation
 from gkm_crystals.errors import InexactDivisionError, InternalInconsistencyError
 
@@ -73,7 +75,7 @@ def test_dims_agree(files, capsys):
 
 
 def test_dims_mismatch_exits_one(files, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "graded_dim", lambda datum, alpha, bound: 99)
+    monkeypatch.setattr(cli, "graded_dim", lambda datum, alpha: 99)
     code = cli.main(["dims", "--cartan", files["exb.json"], "--height", "2"])
     captured = capsys.readouterr()
     assert code == 1
@@ -195,6 +197,35 @@ def test_quiver_boolean_vertex_rejected(tmp_path, capsys):
     assert _one_line_input_error(capsys)
 
 
+def _hostile_input_exits_two(tmp_path, capsys, argv, text) -> None:
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    started = time.perf_counter()
+    assert cli.main(argv + [str(path)]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().out == ""
+
+
+def test_rep_exponent_entry_rejected(tmp_path, capsys):
+    # Fraction("1e1000000000") would expand a billion-digit integer.
+    rep = {"quiver": {"vertices": 1, "omega_arrows": [[1, 1]]}, "dims": [1],
+           "mats": {"h0": [["1e1000000000"]], "h1": [[0]]}}
+    _hostile_input_exits_two(tmp_path, capsys, ["geom", "--rep"], json.dumps(rep))
+
+
+def test_quiver_rank_over_bound_rejected(tmp_path, capsys):
+    # quiver_to_cartan would build a 10**10-entry matrix.
+    _hostile_input_exits_two(tmp_path, capsys, ["graph", "--depth", "0", "--quiver"],
+                             '{"vertices": 100000, "omega_arrows": []}')
+
+
+def test_cartan_rank_over_bound_rejected(tmp_path, capsys):
+    n = MAX_RANK + 1
+    matrix = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    _hostile_input_exits_two(tmp_path, capsys, ["verify", "--depth", "1", "--cartan"],
+                             json.dumps({"matrix": matrix}))
+
+
 def test_negative_depth_rejected(files, capsys):
     assert cli.main(["verify", "--cartan", files["exb.json"], "--depth", "-3"]) == 2
     assert _one_line_input_error(capsys)
@@ -236,7 +267,7 @@ def _one_line_internal_error(capsys) -> bool:
 
 
 def test_dims_tripwire_exits_four(files, capsys, monkeypatch):
-    def tripped(datum, alpha, bound):
+    def tripped(datum, alpha):
         raise InexactDivisionError("planted remainder")
 
     monkeypatch.setattr(cli, "graded_dim", tripped)
@@ -245,7 +276,7 @@ def test_dims_tripwire_exits_four(files, capsys, monkeypatch):
 
 
 def test_geom_tripwire_exits_four(files, capsys, monkeypatch):
-    def tripped(rep, max_total_dim):
+    def tripped(rep):
         raise InternalInconsistencyError("planted disagreement")
 
     monkeypatch.setattr(cli, "flag_exists", tripped)

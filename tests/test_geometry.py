@@ -20,7 +20,6 @@ from gkm_crystals.geometry import (
     regular_semisimple_check,
     regular_semisimple_verdicts,
     star_rep,
-    symplectic_form,
     verify_flag,
 )
 
@@ -66,11 +65,12 @@ def test_fraction_entries_parse():
         ' "mats": {"h0": [["1/2"]], "h1": [[2]]}}'
     )
     assert rep.mats[0].entries == ((Q(1, 2),),)
-    with pytest.raises(InputError):
-        load_rep(
-            '{"quiver": {"vertices": 1, "omega_arrows": [[1, 1]]}, "dims": [1],'
-            ' "mats": {"h0": [["x"]], "h1": [[2]]}}'
-        )
+    for entry in ("x", "1e3", "0.5", " 1", "1_0", "1/0", "1/-2"):
+        with pytest.raises(InputError):
+            load_rep(
+                '{"quiver": {"vertices": 1, "omega_arrows": [[1, 1]]}, "dims": [1],'
+                f' "mats": {{"h0": [["{entry}"]], "h1": [[2]]}}}}'
+            )
 
 
 def test_shape_mismatch_rejected():
@@ -96,21 +96,18 @@ def test_moment_map_vanishing():
     assert moment_map(bad, 1).entries == ((Q(-1), Q(0)), (Q(0), Q(1)))
 
 
+@pytest.mark.parametrize("i", [0, 3, -1])
+def test_moment_map_rejects_vertex_out_of_range(i):
+    with pytest.raises(InputError):
+        moment_map(pinned_rep(), i)
+
+
 def test_regular_semisimple():
     assert regular_semisimple_verdicts(pinned_rep()) == {2: True}
     assert regular_semisimple_check(pinned_rep())
     # repeated eigenvalue 1 fails
     assert regular_semisimple_verdicts(one_loop_rep([[0, 0], [0, 0]], [[1, 0], [0, 1]])) == {1: False}
     assert regular_semisimple_verdicts(one_loop_rep([[0, 0], [0, 0]], [[1, 0], [0, 3]])) == {1: True}
-
-
-def test_symplectic_form_values():
-    rep = pinned_rep()
-    assert symplectic_form(rep, rep) == 0  # alternating
-    e12 = one_loop_rep([[0, 1], [0, 0]], [[0, 0], [0, 0]])
-    e21 = one_loop_rep([[0, 0], [0, 0]], [[0, 0], [1, 0]])
-    assert symplectic_form(e12, e21) == -1
-    assert symplectic_form(e21, e12) == 1
 
 
 def test_eps_values_on_pinned_instance():
@@ -158,7 +155,6 @@ def test_flag_dimension_bound():
     rep = QuiverRep(ONE_LOOP, (7,), (RatMat.zeros(7, 7), RatMat.zeros(7, 7)))
     with pytest.raises(DimensionExceededError):
         flag_exists(rep)
-    assert flag_exists(rep, max_total_dim=7) is not None
 
 
 def test_verify_flag_blames_faults():

@@ -241,4 +241,3 @@ def test_graded_dim_input_guards():
         graded_dim(d, (1, 1, 1))
     with pytest.raises(LengthMismatchError):
         graded_dim(validate_datum(GATE_MATRICES[-1]), (1, 1))
-    assert graded_dim(d, (5, 3), height_bound=8) == 4

@@ -4,7 +4,8 @@ Each example is a symmetric matrix of rank at most 3 (diagonal in
 {2, 0, -2}, off-diagonal entries in {0, -1, -2}) with an iota period that
 covers every index, plus up to two repeated indices.  The crystal is
 compared with the oracle, with the axioms, and with its transport onto a
-realization over another period.
+realization over another period.  The oracle's exact Laurent division is
+checked against multiplication.
 """
 
 from hypothesis import given, settings
@@ -19,7 +20,8 @@ from gkm_crystals.binfinity import (
 from gkm_crystals.cartan import validate_datum
 from gkm_crystals.cli import _positive_weights
 from gkm_crystals.crystal import verify_axioms
-from gkm_crystals.oracle import graded_dim
+from gkm_crystals.errors import InexactDivisionError
+from gkm_crystals.oracle import Laurent, graded_dim
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=50, deadline=None, database=None)
 
@@ -65,3 +67,23 @@ def test_transport_to_another_period_is_a_graph_isomorphism(example):
     reverse = IotaSequence(tuple(reversed(iota.period)))
     alt = crystal.realization_with(reverse if reverse != iota else iota.shifted())
     assert transport_isomorphism_findings(crystal, alt, 3) == []
+
+
+def laurents(max_terms):
+    return st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=max_terms).map(Laurent)
+
+
+# Divisors include one-term ones (the constant 1 among them) and dense ones.
+divisors = st.one_of(st.just(Laurent.one()), laurents(1), laurents(5)).filter(bool)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(laurents(6), divisors, laurents(2))
+def test_exact_div_inverts_multiplication(a, b, noise):
+    assert (a * b).exact_div(b) == a
+    perturbed = a * b + noise
+    try:
+        r = perturbed.exact_div(b)
+    except InexactDivisionError:
+        return
+    assert r * b == perturbed

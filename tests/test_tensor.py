@@ -12,8 +12,8 @@ IMAG2 = validate_datum([[-2]])
 EXB = validate_datum([[0, -1], [-1, 2]])
 
 
-def pair_crystal(datum, i, j, **kw):
-    return TensorCrystal(ElementaryCrystal(datum, i), ElementaryCrystal(datum, j), **kw)
+def pair_crystal(datum, i, j):
+    return TensorCrystal(ElementaryCrystal(datum, i), ElementaryCrystal(datum, j))
 
 
 def test_datum_mismatch_rejected():
@@ -73,11 +73,11 @@ def test_real_raising_annihilates_at_bottom():
 
 
 def test_imaginary_gap_annihilates_and_logs():
-    c = pair_crystal(IMAG2, 1, 1, record_gap_events=True)
+    c = pair_crystal(IMAG2, 1, 1)
     b = c.pair(c.left.element(1), c.right.element(0))
     # eps_R = 0 < phi_L = 2 <= eps_R - a_ii = 2: the gap case
     assert c.e(1, b) is None
-    assert c.gap_events == [(c.key(b), 1)]
+    assert list(c.gap_events) == [(c.key(b), 1)]
     # one more lowering on the left leaves the gap: 4 > 2 routes left
     b2 = c.pair(c.left.element(2), c.right.element(0))
     assert c.e(1, b2) == b
