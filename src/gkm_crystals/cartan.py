@@ -10,6 +10,7 @@ tuples against the simple roots alpha_1 .. alpha_n.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -158,20 +159,12 @@ class Quiver:
         """Omega-bar loops: the arrows allowed to act within flag steps."""
         return tuple(k for k, a in enumerate(self.arrows) if a.source == a.target and not a.in_omega)
 
-    def arrow_count(self, i: int, j: int) -> int:
-        return sum(1 for a in self.arrows if a.source == i and a.target == j)
-
 
 def quiver_to_cartan(q: Quiver) -> BorcherdsCartanDatum:
     """a_ii = 2 - (arrows i->i in H), a_ij = -(arrows i->j in H)."""
     n = q.vertex_count
-    matrix = [
-        [
-            (2 - q.arrow_count(i, i)) if i == j else -q.arrow_count(i, j)
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
+    count = Counter((a.source, a.target) for a in q.arrows)
+    matrix = [[2 * (i == j) - count[i, j] for j in range(1, n + 1)] for i in range(1, n + 1)]
     return validate_datum(matrix)
 
 

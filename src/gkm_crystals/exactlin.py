@@ -186,7 +186,7 @@ def _poly_norm(p) -> list[Q]:
     if k is None:
         return []
     lead = p[k]
-    return [c / lead for c in p[k:]]
+    return [Q(c, lead) for c in p[k:]]
 
 
 def _poly_mod(a, b) -> list[Q]:
@@ -216,20 +216,38 @@ def is_squarefree(p) -> bool:
     return len(poly_gcd(p, poly_deriv(p))) <= 1
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _primitive(p) -> list[int]:
+    """The integer multiple c*p, c > 0, with coprime coefficients and no leading zeros."""
+    k = next((i for i, c in enumerate(p) if c != 0), len(p))
+    den = math.lcm(*(c.denominator for c in p[k:]))
+    ints = [int(c * den) for c in p[k:]]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _sign_changes(seq: list[list[int]], h: int) -> int:
+    """Sign changes along seq at h/2, zeros skipped; integer Horner on sum c_i h^(d-i) 2^i."""
+    changes, last = 0, 0
+    for s in seq:
+        acc = 0
+        for i, c in enumerate(s):
+            acc = acc * h + (c << i)
+        if acc:
+            changes += last * acc < 0
+            last = acc
+    return changes
 
 
 def rational_roots(p) -> list[Q]:
-    """All rational roots of a nonzero polynomial, sorted, without multiplicity."""
+    """All rational roots of a nonzero polynomial, sorted, without multiplicity.
+
+    With p scaled to coprime integers a_0..a_n, m(y) = a_0^(n-1) p(y/a_0) is
+    monic over the integers, so its rational roots are integers and y/a_0
+    runs over those of p.  Sturm's theorem counts the distinct real roots of
+    m between half-integers, which are never roots of m, so bisection down
+    to unit intervals isolates every integer candidate; each one is then
+    confirmed exactly on p.
+    """
     p = [Q(c) for c in p]
     k = next((i for i, c in enumerate(p) if c != 0), None)
     if k is None:
@@ -241,14 +259,26 @@ def rational_roots(p) -> list[Q]:
         p = p[:-1]
     if len(p) == 1:
         return sorted(roots)
-    denom = 1
-    for c in p:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in p]
-    for num in _divisors(ints[-1]):
-        for den in _divisors(ints[0]):
-            for s in (1, -1):
-                cand = Q(s * num, den)
-                if poly_eval(p, cand) == 0:
-                    roots.add(cand)
+    a = _primitive(p)
+    m = [1] + [c * a[0] ** (i - 1) for i, c in enumerate(a) if i]
+    seq = [m, _primitive(poly_deriv(m))]
+    while len(seq[-1]) > 1:
+        r = _poly_mod(seq[-2], _poly_norm(seq[-1]))
+        if not any(r):
+            break
+        seq.append(_primitive([-c for c in r]))
+    edge = 2 * max(abs(c) for c in m) + 3  # m's roots lie in (-edge/2, edge/2)
+    stack = [(-edge, _sign_changes(seq, -edge), edge, _sign_changes(seq, edge))]
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 2:
+            x = Q((lo + 1) // 2, a[0])
+            if poly_eval(p, x) == 0:
+                roots.add(x)
+            continue
+        mid = lo + 2 * ((hi - lo) // 4)  # odd, like lo and hi
+        v_mid = _sign_changes(seq, mid)
+        stack += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
     return sorted(roots)

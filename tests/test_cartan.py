@@ -101,7 +101,6 @@ def test_quiver_construction():
     assert q.arrows[3].source == 2 and q.arrows[3].target == 1
     assert not q.arrows[2].in_omega
     assert q.weak_positions() == (2,)
-    assert q.arrow_count(1, 2) == 1
 
 
 def test_quiver_involution_rejections():
@@ -116,6 +115,9 @@ def test_quiver_to_cartan():
     assert quiver_to_cartan(Quiver.from_omega_arrows(2, [(1, 2)])).matrix == ((2, -1), (-1, 2))
     assert quiver_to_cartan(Quiver.from_omega_arrows(1, [(1, 1)])).matrix == ((0,),)
     assert quiver_to_cartan(Quiver.from_omega_arrows(1, [(1, 1), (1, 1)])).matrix == ((-2,),)
+    # two loops at 1, three at 3 (each counts twice in H), a double edge 1-2 and one edge 3-2
+    multi = Quiver.from_omega_arrows(3, [(1, 1), (1, 2), (3, 3), (2, 1), (1, 1), (3, 2), (3, 3), (3, 3)])
+    assert quiver_to_cartan(multi).matrix == ((-2, -2, 0), (-2, 2, -1), (0, -1, -4))
 
 
 def test_load_cartan():

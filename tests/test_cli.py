@@ -166,6 +166,20 @@ def test_dims_large_entry_builds_only_short_relations(tmp_path, capsys, monkeypa
     assert all(line.endswith("\tok") for line in out[1:])
 
 
+def test_geom_large_entry_finds_flag(tmp_path, capsys):
+    # The weak loop's characteristic polynomial has a constant term near 10**60.
+    rep = {"quiver": {"vertices": 1, "omega_arrows": [[1, 1]]}, "dims": [2],
+           "mats": {"h0": [[0, 0], [0, 0]], "h1": [[10**30, 1], [0, -(10**30 - 11)]]}}
+    path = tmp_path / "large_rep.json"
+    path.write_text(json.dumps(rep))
+    started = time.perf_counter()
+    assert cli.main(["geom", "--rep", str(path)]) == 0
+    assert time.perf_counter() - started < 1.0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("flag: found ")
+    assert out[3] == "(eps, eps*) = v1:(2,2)"
+
+
 def test_input_errors_exit_two(files, capsys, tmp_path):
     assert cli.main(["graph", "--depth", "1"]) == 2
     assert cli.main(["graph", "--cartan", files["exb.json"],

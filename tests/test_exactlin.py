@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkm_crystals.exactlin import (
     EchelonBasis,
@@ -170,6 +172,9 @@ def test_poly_utilities():
     assert is_squarefree(p)
     assert not is_squarefree([Q(1), Q(-2), Q(1)])  # (x-1)^2
     assert not is_squarefree([Q(1), Q(0), Q(0)])  # x^2
+    # integer coefficients stay exact: (x - (10^17 + 1))^2 is no square in floats
+    assert not is_squarefree([1, -(2 * 10**17 + 2), (10**17 + 1) ** 2])
+    assert all(type(c) is Q for c in poly_gcd([1, -3, 2], [1, -1]))
 
 
 def test_rational_roots():
@@ -178,3 +183,86 @@ def test_rational_roots():
     assert rational_roots([Q(1), Q(0), Q(-1)]) == [Q(-1), Q(1)]
     assert rational_roots([Q(1), Q(0), Q(2)]) == []  # x^2 + 2
     assert rational_roots([Q(1), Q(0)]) == [Q(0)]  # x
+    # (x - 6)(x - 8)(x^2 + 2): flipping a Sturm remainder's sign loses both roots
+    assert rational_roots([1, -14, 50, -28, 96]) == [Q(6), Q(8)]
+
+
+def test_rational_roots_large_entries():
+    assert rational_roots([1, 0, -10**60]) == [Q(-10**30), Q(10**30)]
+    assert rational_roots([Q(1, 10**30), Q(-1)]) == [Q(10**30)]
+    assert rational_roots([7, 0, 0]) == [Q(0)]
+    with pytest.raises(ValueError):
+        rational_roots([Q(0), Q(0)])
+
+
+ROOT_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+def _times(a, b) -> list[Q]:
+    out = [Q(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _nonzero(bound: int):
+    return st.integers(-bound, bound).filter(bool)
+
+
+def _rationals(bound: int):
+    return st.builds(Q, st.integers(-bound, bound), st.integers(1, bound))
+
+
+@st.composite
+def planted_roots(draw):
+    """(c * prod (x - r) * g, the r) at one scale: repeated and zero roots, g = 1 or (x - s)^2 + k, k > 0."""
+    bound = draw(st.sampled_from([10, 10**6, 10**30]))
+    pool = draw(st.lists(_rationals(bound), min_size=1, max_size=3)) + [Q(0)]
+    roots = draw(st.lists(st.sampled_from(pool), max_size=4))
+    p = [Q(draw(_nonzero(bound)), draw(st.integers(1, bound)))]
+    for r in roots:
+        p = _times(p, [Q(1), -r])
+    if draw(st.booleans()):
+        s, k = draw(_rationals(bound)), Q(draw(st.integers(1, bound)), draw(st.integers(1, bound)))
+        p = _times(p, [Q(1), -2 * s, s * s + k])
+    return p, roots
+
+
+@given(planted_roots())
+@ROOT_SETTINGS
+def test_rational_roots_finds_planted_roots(case):
+    p, roots = case
+    assert rational_roots(p) == sorted(set(roots))
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+
+def _divisor_search(p: list[int]) -> list[Q]:
+    """Reference: every rational root of an integer polynomial is +-(divisor of a_n)/(divisor of a_0)."""
+    roots = set()
+    while len(p) > 1 and p[-1] == 0:
+        roots.add(Q(0))
+        p = p[:-1]
+    if len(p) > 1:
+        roots |= {Q(s * num, den) for num in _divisors(p[-1]) for den in _divisors(p[0]) for s in (1, -1)
+                  if poly_eval(p, Q(s * num, den)) == 0}
+    return sorted(roots)
+
+
+@st.composite
+def small_integer_polys(draw):
+    """Integer coefficients of size at most 50, often with a planted factor a x - b."""
+    p = [draw(_nonzero(8))] + draw(st.lists(st.integers(-8, 8), max_size=4))
+    if draw(st.booleans()):
+        p = [int(c) for c in _times(p, [draw(st.integers(1, 3)), -draw(st.integers(-3, 3))])]
+    return p
+
+
+@given(small_integer_polys())
+@ROOT_SETTINGS
+def test_rational_roots_match_divisor_search(p):
+    assert max(abs(c) for c in p) <= 50
+    assert rational_roots(p) == _divisor_search(p)

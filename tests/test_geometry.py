@@ -1,5 +1,6 @@
 """Pointwise invariants on quiver representations over exact rationals."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -190,3 +191,41 @@ def test_flag_search_stops_after_one_candidate(monkeypatch):
     op = RatMat.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
     assert geometry._triangularize([op], 4) is None
     assert len(calls) == 2
+
+
+def _unimodular(rng: random.Random, n: int) -> tuple[RatMat, RatMat]:
+    """An integer matrix of determinant 1 and its inverse, from random column additions."""
+    u, inv = [[int(i == j) for j in range(n)] for i in range(n)], [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        for row in u:
+            row[j] += c * row[i]  # u <- u (1 + c e_ij)
+        inv[i] = [a - c * b for a, b in zip(inv[i], inv[j])]  # inv <- (1 - c e_ij) inv
+    return RatMat.from_rows(u), RatMat.from_rows(inv)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_flag_found_on_large_spectra(seed):
+    # Two vertices with a loop each, dims (3, 3), flag V1 before V2.  Each
+    # weak loop is upper triangular with eigenvalues of size 10**5..10**6,
+    # the strict loops are zero (they must commute with a regular semisimple
+    # weak loop), 1 -> 2 is zero and 2 -> 1 is random; then each vertex space
+    # is conjugated by a unimodular matrix.  Both flag layers are 3-dimensional,
+    # so the characteristic polynomials have constant terms near 10**18.
+    rng = random.Random(seed)
+    quiver = Quiver.from_omega_arrows(2, [(1, 1), (2, 2), (1, 2)])
+    (u1, u1_inv), (u2, u2_inv) = _unimodular(rng, 3), _unimodular(rng, 3)
+
+    def weak_loop(u, u_inv):
+        t = [[rng.choice([-1, 1]) * rng.randint(10**5, 10**6) if i == j else rng.randint(-5, 5) * (i < j)
+              for j in range(3)] for i in range(3)]
+        return u @ RatMat.from_rows(t) @ u_inv
+
+    zero = RatMat.zeros(3, 3)
+    down = u1 @ RatMat.from_rows([[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]) @ u2_inv
+    rep = QuiverRep(quiver, (3, 3), (zero, zero, zero, weak_loop(u1, u1_inv), weak_loop(u2, u2_inv), down))
+    witness = flag_exists(rep)
+    assert witness is not None
+    assert [v for v, _ in witness.steps] == [1, 1, 1, 2, 2, 2]
+    assert verify_flag(rep, witness) == []
