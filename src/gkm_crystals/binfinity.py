@@ -22,13 +22,15 @@ Transport between realizations strips an element to the head and replays
 the raising word as lowerings in the target.  Each realization memoizes
 the raising step at every element it strips and every image it replays,
 so shared word suffixes are computed once and the result is unchanged.
+Likewise eps_i and phi_i are memoized per element and index, once their
+checks have passed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import BorcherdsCartanDatum, Weight, pairing
+from .cartan import BorcherdsCartanDatum, Weight
 from .crystal import NEG_INF, Crystal, reachable
 from .elementary import ElementaryCrystal, ElementaryElement
 from .errors import InputError, InternalInconsistencyError, StrippingStuckError
@@ -112,7 +114,8 @@ class BInfinityCrystal(Crystal):
         self.gap_events: dict[tuple[str, int], None] = {}
         self._family: dict[IotaSequence, BInfinityCrystal] = {self.iota: self}
         self._steps: dict[tuple[int, ...], tuple[int, BInfElement]] = {}  # next raising step
-        self._images: dict[tuple[IotaSequence, tuple[int, ...]], BInfElement] = {}
+        self._images: dict[IotaSequence, dict[tuple[int, ...], BInfElement]] = {}  # per target iota
+        self._stats_memo: dict[tuple[int, ...], list] = {}  # checked eps_i and phi_i per string
         # Per index i: real flag, a_ii, then a(i, iota_p) and [iota_p == i] per period slot p.
         rows, period = datum.matrix, self.iota.period
         self._tables = [None] + [
@@ -162,34 +165,64 @@ class BInfinityCrystal(Crystal):
             wti += wf
         return eps, wti, phi_pre, ef
 
-    def eps(self, i: int, b: BInfElement):
+    def _stats(self, i: int, b: BInfElement) -> tuple[int, int]:
+        """(eps_i, phi_i) of b from one prefix pass, memoized per element.
+
+        Tripwires: the tensor statistics must satisfy phi = eps + <h_i, wt>,
+        an imaginary eps must be 0, and a real eps must be the length of the
+        raising string.  That length is checked by induction on verified
+        values: eps = 0 exactly when e_i vanishes, and otherwise e_i(b) has
+        a checked eps one less.  The walk up the string is a loop that stops
+        at the first memoized element or at a vanishing e_i, and values are
+        memoized only once the whole walk has passed.
+        """
         self._own(b)
         self.datum.check_index(i)
-        val, wti, phi_pre, _ = self._prefix_arrays(i, b.entries)
-        if phi_pre[0] != val + wti:
-            raise InternalInconsistencyError(
-                f"tensor statistics break phi = eps + <h_i,wt> at {self.key(b)}, index {i}"
-            )
-        if not self.datum.is_real(i):
-            if val != 0:
-                raise InternalInconsistencyError(f"imaginary eps_{i} = {val} != 0 at {self.key(b)}")
-            return 0
-        # Real index: the tensor value must equal the raising string length.
-        steps, x = 0, b
-        while steps <= val:
-            y = self.e(i, x)
-            if y is None:
+        k = 2 * i - 2  # slots of one string: eps_1, phi_1, ..., eps_n, phi_n, or None
+        memo = self._stats_memo
+        slots = memo.get(b.entries)
+        if slots is not None and slots[k] is not None:
+            return slots[k], slots[k + 1]
+        real = self._tables[i][0]
+        chain, x, known = [], b, None  # chain: (element, eps, phi) awaiting memoization
+        while True:
+            if known is None:
+                val, wti, phi_pre, _ = self._prefix_arrays(i, x.entries)
+                if phi_pre[0] != val + wti:
+                    raise InternalInconsistencyError(
+                        f"tensor statistics break phi = eps + <h_i,wt> at {self.key(x)}, index {i}")
+                if not real and val != 0:
+                    raise InternalInconsistencyError(f"imaginary eps_{i} = {val} != 0 at {self.key(x)}")
+            else:
+                val = known
+            if chain and val != chain[-1][1] - 1:
+                below, below_eps, _ = chain[-1]
+                raise InternalInconsistencyError(
+                    f"real eps_{i} = {below_eps} at {self.key(below)} but e_{i} of it has eps_{i} = {val}")
+            if known is not None:
                 break
-            x = y
-            steps += 1
-        if steps != val:
-            raise InternalInconsistencyError(
-                f"real eps_{i} = {val} but the raising string at {self.key(b)} has length {steps}"
-            )
-        return val
+            chain.append((x, val, val + wti))
+            x = self.e(i, x) if real else None
+            if (x is None) != (val == 0):
+                raise InternalInconsistencyError(
+                    f"real eps_{i} = {val} at {self.key(chain[-1][0])} but e_{i} "
+                    f"{'vanishes' if x is None else 'acts'} there")
+            if x is None:
+                break
+            slots = memo.get(x.entries)
+            known = None if slots is None else slots[k]
+        for x, val, phi in chain:
+            slots = memo.get(x.entries)
+            if slots is None:
+                slots = memo[x.entries] = [None] * (2 * self.datum.index_count)
+            slots[k], slots[k + 1] = val, phi
+        return chain[0][1:]
+
+    def eps(self, i: int, b: BInfElement):
+        return self._stats(i, b)[0]
 
     def phi(self, i: int, b: BInfElement):
-        return self.eps(i, b) + pairing(self.datum, i, self.wt(b))
+        return self._stats(i, b)[1]
 
     # -- operators --------------------------------------------------------
 
@@ -274,13 +307,13 @@ class BInfinityCrystal(Crystal):
         if target.datum != self.datum:
             raise InputError("target realization lives over a different datum")
         self.strip_to_head(b)
-        images, chain, x = self._images, [], b
-        while x.entries and (target.iota, x.entries) not in images:
+        images, chain, x = self._images.setdefault(target.iota, {}), [], b
+        while x.entries and x.entries not in images:
             chain.append(x)
             x = self._steps[x.entries][1]
-        z = images[(target.iota, x.entries)] if x.entries else target.highest_weight()
+        z = images[x.entries] if x.entries else target.highest_weight()
         for x in reversed(chain):
-            z = images[(target.iota, x.entries)] = target.f(self._steps[x.entries][0], z)
+            z = images[x.entries] = target.f(self._steps[x.entries][0], z)
         return z
 
     def eps_star(self, b: BInfElement, i: int) -> int:

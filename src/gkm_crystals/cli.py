@@ -170,11 +170,11 @@ def _format_q(x) -> str:
 def cmd_geom(args) -> tuple[int, str]:
     rep = load_rep(_read_file(args.rep))
     nv = rep.quiver.vertex_count
+    witness = flag_exists(rep)  # first: it rejects a total dimension over the bound before any d x d matrix
     mu_parts = []
     for i in range(1, nv + 1):
         mu_parts.append(f"v{i}:{'zero' if moment_map(rep, i).is_zero() else 'NONZERO'}")
     out = ["moment map: " + " ".join(mu_parts) + "\n"]
-    witness = flag_exists(rep)
     if witness is None:
         out.append("flag: not found (rational search)\n")
     else:

@@ -241,12 +241,26 @@ def generate_graph(crystal: Crystal, root, depth: int, cap: int = 10000) -> Crys
     return CrystalGraph(nodes, tuple((keys[s], keys[d], i) for s, d, i in edges), keys[root])
 
 
-def _stat_json(value):
-    return "-inf" if value == NEG_INF else value
+def _stat_json(value) -> str:
+    return '"-inf"' if value == NEG_INF else str(value)
+
+
+def _json_array(items, indent: int):
+    """Chunks of the array json.dumps(..., indent=2) writes at this indent, from encoded items."""
+    pad, sep = "\n" + " " * indent, ""
+    yield "["
+    for x in items:
+        yield f"{sep}{pad}  {x}"
+        sep = ","
+    yield pad + "]" if sep else "]"
 
 
 def export_graph(graph: CrystalGraph, fmt: str) -> str:
-    """Serialize a graph to 'dot' or 'json'.  Output bytes are reproducible."""
+    """Serialize a graph to 'dot' or 'json'.  Output bytes are reproducible.
+
+    The json text is written directly, one f-string per node and per edge;
+    its bytes are those of json.dumps(payload, indent=2) plus a newline.
+    """
     if fmt == "dot":
         lines = ["digraph crystal {", "  rankdir=TB;"]
         for node in graph.nodes:
@@ -256,18 +270,14 @@ def export_graph(graph: CrystalGraph, fmt: str) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = {
-            "nodes": [
-                {
-                    "key": node.key,
-                    "wt": list(node.wt),
-                    "eps": [_stat_json(v) for v in node.eps],
-                    "phi": [_stat_json(v) for v in node.phi],
-                }
-                for node in graph.nodes
-            ],
-            "edges": [{"src": s, "dst": d, "i": i} for s, d, i in graph.edges],
-            "root": graph.root,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        q = json.dumps
+
+        def arr(values):
+            return "".join(_json_array(map(_stat_json, values), 6))
+
+        nodes = (f'{{\n      "key": {q(node.key)},\n      "wt": {arr(node.wt)},\n      "eps": {arr(node.eps)},\n'
+                 f'      "phi": {arr(node.phi)}\n    }}' for node in graph.nodes)
+        edges = (f'{{\n      "src": {q(s)},\n      "dst": {q(d)},\n      "i": {i}\n    }}' for s, d, i in graph.edges)
+        return "".join(['{\n  "nodes": ', *_json_array(nodes, 2), ',\n  "edges": ', *_json_array(edges, 2),
+                        f',\n  "root": {q(graph.root)}\n}}\n'])
     raise UnknownFormatError(f"unknown export format {fmt!r}")

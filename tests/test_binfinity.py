@@ -2,6 +2,7 @@
 
 import pytest
 
+from gkm_crystals import cli
 from gkm_crystals.binfinity import (
     BInfElement,
     BInfinityCrystal,
@@ -12,10 +13,11 @@ from gkm_crystals.binfinity import (
 from gkm_crystals.cartan import validate_datum
 from gkm_crystals.crystal import check_strict_morphism, verify_axioms
 from gkm_crystals.elementary import ElementaryElement
-from gkm_crystals.errors import DepthExceededError, InputError
+from gkm_crystals.errors import DepthExceededError, InputError, InternalInconsistencyError
 from gkm_crystals.oracle import graded_dim
 
 EXB = validate_datum([[0, -1], [-1, 2]])
+SL2 = validate_datum([[2]])
 A2 = validate_datum([[2, -1], [-1, 2]])
 TWO_IMAG = validate_datum([[0, -1], [-1, 0]])
 GAP = validate_datum([[-2, -1], [-1, 2]])
@@ -261,3 +263,82 @@ def test_enumeration_cap():
     c = BInfinityCrystal(TWO_IMAG)
     with pytest.raises(DepthExceededError):
         c.enumerate_to_depth(6, cap=12)
+
+
+# -- the memoized statistics and their tripwires -------------------------------
+
+
+def sl2_string(k):
+    """f_1^k of the head over [[2]], the string (k,)."""
+    return BInfElement(IotaSequence((1,)), (k,) if k else ())
+
+
+def test_long_raising_string_is_walked_without_recursion():
+    lowering = BInfinityCrystal(SL2)
+    b = lowering.highest_weight()
+    for _ in range(3000):
+        b = lowering.f(1, b)
+    assert b == sl2_string(3000)
+    c = BInfinityCrystal(SL2)  # a fresh realization: nothing on the string is memoized
+    assert c.eps(1, sl2_string(3000)) == 3000
+    assert c.phi(1, sl2_string(3000)) == -3000
+
+
+def plant_e(monkeypatch, fault):
+    """Replace e_i by `fault(original, self, i, b)` on every realization."""
+    original = BInfinityCrystal.e
+    monkeypatch.setattr(BInfinityCrystal, "e", lambda self, i, b: fault(original, self, i, b))
+
+
+def plant_prefix(monkeypatch, d_eps, d_phi):
+    """Shift the tensor eps_i and phi_i of every string by the given amounts."""
+    original = BInfinityCrystal._prefix_arrays
+
+    def shifted(self, i, entries):
+        eps, wti, phi_pre, ef = original(self, i, entries)
+        return eps + d_eps, wti, [phi_pre[0] + d_phi] + phi_pre[1:], ef
+
+    monkeypatch.setattr(BInfinityCrystal, "_prefix_arrays", shifted)
+
+
+def test_raising_string_vanishing_early_trips(monkeypatch, tmp_path, capsys):
+    plant_e(monkeypatch, lambda e, self, i, b: None if b.entries == (1,) else e(self, i, b))
+    c = BInfinityCrystal(SL2)
+    for _ in range(2):  # a failed walk memoizes nothing, so asking again trips again
+        with pytest.raises(InternalInconsistencyError, match="e_1 vanishes"):
+            c.eps(1, sl2_string(3))
+    path = tmp_path / "sl2.json"
+    path.write_text('{"matrix": [[2]]}')
+    assert cli.main(["graph", "--cartan", str(path), "--depth", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:") and "e_1 vanishes" in captured.err
+
+
+def test_raising_at_eps_zero_trips(monkeypatch):
+    plant_e(monkeypatch, lambda e, self, i, b: sl2_string(1) if not b.entries else e(self, i, b))
+    with pytest.raises(InternalInconsistencyError, match="e_1 acts"):
+        BInfinityCrystal(SL2).eps(1, sl2_string(0))
+
+
+@pytest.mark.parametrize("memoized_first", [False, True])
+def test_raising_step_skipping_an_element_trips(monkeypatch, memoized_first):
+    plant_e(monkeypatch, lambda e, self, i, b: sl2_string(1) if b.entries == (3,) else e(self, i, b))
+    c = BInfinityCrystal(SL2)
+    if memoized_first:
+        assert c.eps(1, sl2_string(1)) == 1  # the check then reads (1,) from the memo
+    with pytest.raises(InternalInconsistencyError, match="has eps_1 = 1"):
+        c.eps(1, sl2_string(3))
+
+
+def test_phi_identity_trips(monkeypatch):
+    plant_prefix(monkeypatch, 0, 1)
+    with pytest.raises(InternalInconsistencyError, match="phi = eps"):
+        BInfinityCrystal(SL2).phi(1, sl2_string(2))
+
+
+def test_imaginary_eps_trips(monkeypatch):
+    plant_prefix(monkeypatch, 1, 1)
+    c = BInfinityCrystal(TWO_IMAG)
+    with pytest.raises(InternalInconsistencyError, match="imaginary eps_1 = 1"):
+        c.eps(1, c.f(1, c.highest_weight()))

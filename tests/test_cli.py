@@ -227,6 +227,12 @@ def test_rep_exponent_entry_rejected(tmp_path, capsys):
     _hostile_input_exits_two(tmp_path, capsys, ["geom", "--rep"], json.dumps(rep))
 
 
+def test_geom_dimension_over_bound_rejected_before_any_matrix(tmp_path, capsys):
+    # The d x d moment map of this arrowless vertex would have 10**12 entries.
+    rep = {"quiver": {"vertices": 1, "omega_arrows": []}, "dims": [10**6], "mats": {}}
+    _hostile_input_exits_two(tmp_path, capsys, ["geom", "--rep"], json.dumps(rep))
+
+
 def test_quiver_rank_over_bound_rejected(tmp_path, capsys):
     # quiver_to_cartan would build a 10**10-entry matrix.
     _hostile_input_exits_two(tmp_path, capsys, ["graph", "--depth", "0", "--quiver"],
@@ -299,7 +305,7 @@ def test_geom_tripwire_exits_four(files, capsys, monkeypatch):
 
 
 def test_failed_run_writes_no_partial_report(tmp_path, capsys):
-    # The moment map is computed before the flag search rejects the dimension.
+    # The flag search rejects the dimension before any report line exists.
     path = tmp_path / "big_rep.json"
     zeros = [[0] * 7 for _ in range(7)]
     path.write_text(json.dumps({"quiver": {"vertices": 1, "omega_arrows": [[1, 1]]},

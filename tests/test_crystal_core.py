@@ -250,3 +250,49 @@ def test_export_json_encodes_neg_inf():
     # index 2 never acts on B_1, so its statistics serialize as "-inf"
     assert payload["nodes"][0]["eps"][1] == "-inf"
     assert payload["nodes"][0]["phi"][1] == "-inf"
+
+
+def _graph_case(name):
+    from gkm_crystals.binfinity import BInfinityCrystal
+    from gkm_crystals.tensor import TensorCrystal
+
+    if name == "m3-depth-4":
+        c = BInfinityCrystal(validate_datum([[2, -1, 0], [-1, 0, -1], [0, -1, 2]]))
+        return generate_graph(c, c.highest_weight(), 4)
+    if name == "sl2-depth-0":
+        c = BInfinityCrystal(SL2)
+        return generate_graph(c, c.highest_weight(), 0)
+    if name == "elementary":
+        c = ElementaryCrystal(A2, 2)
+        return generate_graph(c, c.element(0), 3)
+    b = BInfinityCrystal(validate_datum([[0, -1], [-1, 2]]))
+    c = TensorCrystal(b, ElementaryCrystal(b.datum, 1))
+    return generate_graph(c, c.pair(b.highest_weight(), c.right.element(0)), 3)
+
+
+# Each graph case with a feature its json text must show: nested arrays, an
+# empty edge list, "-inf" statistics, bracketed tensor keys.
+JSON_FEATURES = {
+    "m3-depth-4": '"wt": [\n        -1,',
+    "sl2-depth-0": '"edges": []',
+    "elementary": '"-inf"',
+    "tensor": '"root": "[hw]x[b1(0)]"',
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_FEATURES))
+def test_export_json_is_json_dumps_byte_for_byte(name):
+    g = _graph_case(name)
+
+    def stat(v):
+        return "-inf" if v == NEG_INF else v
+
+    payload = {
+        "nodes": [{"key": n.key, "wt": list(n.wt), "eps": [stat(v) for v in n.eps], "phi": [stat(v) for v in n.phi]}
+                  for n in g.nodes],
+        "edges": [{"src": s, "dst": d, "i": i} for s, d, i in g.edges],
+        "root": g.root,
+    }
+    text = export_graph(g, "json")
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert JSON_FEATURES[name] in text

@@ -4,9 +4,12 @@ Each example is a symmetric matrix of rank at most 3 (diagonal in
 {2, 0, -2}, off-diagonal entries in {0, -1, -2}) with an iota period that
 covers every index, plus up to two repeated indices.  The crystal is
 compared with the oracle, with the axioms, and with its transport onto a
-realization over another period.  The oracle's exact Laurent division is
-checked against multiplication.
+realization over another period.  The memoized eps_i and phi_i are
+compared with a memo-free reference.  The oracle's exact Laurent division
+is checked against multiplication.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from gkm_crystals.binfinity import (
     graded_counts,
     transport_isomorphism_findings,
 )
-from gkm_crystals.cartan import validate_datum
+from gkm_crystals.cartan import pairing, validate_datum
 from gkm_crystals.cli import _positive_weights
 from gkm_crystals.crystal import verify_axioms
 from gkm_crystals.errors import InexactDivisionError
@@ -67,6 +70,29 @@ def test_transport_to_another_period_is_a_graph_isomorphism(example):
     reverse = IotaSequence(tuple(reversed(iota.period)))
     alt = crystal.realization_with(reverse if reverse != iota else iota.shifted())
     assert transport_isomorphism_findings(crystal, alt, 3) == []
+
+
+def raising_length(c, i, b):
+    """Length of the e_i-string above b, by plain iteration (no memo)."""
+    k = 0
+    while (b := c.e(i, b)) is not None:
+        k += 1
+    return k
+
+
+@PROPERTY_SETTINGS
+@given(data_and_periods(), st.integers(0, 2**32 - 1))
+def test_memoized_statistics_match_a_memo_free_reference(example, order_seed):
+    datum, iota = example
+    depth = 4 if datum.index_count <= 2 else 3
+    elements, _, _ = BInfinityCrystal(datum, iota).enumerate_to_depth(depth)
+    queries = [(b, i) for b in elements for i in range(1, datum.index_count + 1)]
+    random.Random(order_seed).shuffle(queries)
+    fresh, reference = BInfinityCrystal(datum, iota), BInfinityCrystal(datum, iota)
+    for b, i in queries:
+        eps = raising_length(reference, i, b) if datum.is_real(i) else 0
+        assert fresh.eps(i, b) == eps
+        assert fresh.phi(i, b) == eps + pairing(datum, i, reference.wt(b))
 
 
 def laurents(max_terms):
