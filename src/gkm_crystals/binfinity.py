@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import BorcherdsCartanDatum, Weight
-from .crystal import NEG_INF, Crystal, reachable
+from .crystal import DEFAULT_NODE_CAP, NEG_INF, Crystal, reachable
 from .elementary import ElementaryCrystal, ElementaryElement
 from .errors import InputError, InternalInconsistencyError, StrippingStuckError
 from .tensor import TensorCrystal, TensorElement, route
@@ -316,11 +316,16 @@ class BInfinityCrystal(Crystal):
             z = images[x.entries] = target.f(self._steps[x.entries][0], z)
         return z
 
+    def _i_first(self, b: BInfElement, i: int) -> tuple["BInfinityCrystal", BInfElement, int]:
+        """The i-first realization, b transported there, and its outermost coordinate."""
+        self.datum.check_index(i)
+        first = self.realization_with(self.iota.i_first(i))
+        t = self.transport(b, first)
+        return first, t, t.entries[0] if t.entries else 0
+
     def eps_star(self, b: BInfElement, i: int) -> int:
         """Starred statistic: the outermost coordinate after moving to an i-first iota."""
-        self.datum.check_index(i)
-        t = self.transport(b, self.realization_with(self.iota.i_first(i)))
-        return t.entries[0] if t.entries else 0
+        return self._i_first(b, i)[2]
 
     def psi_embed(self, b: BInfElement, i: int) -> tuple[BInfElement, ElementaryElement]:
         """Strict embedding into (this realization) (x) (elementary crystal at i).
@@ -329,10 +334,7 @@ class BInfinityCrystal(Crystal):
         b with c outermost i-lowerings unwound, expressed back over this
         realization's iota.
         """
-        self.datum.check_index(i)
-        first = self.realization_with(self.iota.i_first(i))
-        t = self.transport(b, first)
-        c = t.entries[0] if t.entries else 0
+        first, t, c = self._i_first(b, i)
         shifted = first.realization_with(first.iota.shifted())
         back = shifted.transport(BInfElement(shifted.iota, t.entries[1:]), self)
         return back, ElementaryElement(i, c)
@@ -348,12 +350,12 @@ class BInfinityCrystal(Crystal):
 
         return psi, target
 
-    def enumerate_to_depth(self, depth: int, cap: int = 10000):
+    def enumerate_to_depth(self, depth: int, cap: int = DEFAULT_NODE_CAP):
         """Reachable elements, edges and layer sizes below the highest weight."""
         return reachable(self, self.highest_weight(), depth, cap)
 
 
-def graded_counts(crystal: BInfinityCrystal, depth: int, cap: int = 10000) -> dict[Weight, int]:
+def graded_counts(crystal: BInfinityCrystal, depth: int, cap: int = DEFAULT_NODE_CAP) -> dict[Weight, int]:
     """Number of crystal elements at each weight -alpha, keyed by alpha, ht(alpha) <= depth."""
     elements, _, _ = crystal.enumerate_to_depth(depth, cap)
     counts: dict[Weight, int] = {}
@@ -364,7 +366,7 @@ def graded_counts(crystal: BInfinityCrystal, depth: int, cap: int = 10000) -> di
 
 
 def transport_isomorphism_findings(src: BInfinityCrystal, dst: BInfinityCrystal,
-                                   depth: int, cap: int = 10000) -> list[str]:
+                                   depth: int, cap: int = DEFAULT_NODE_CAP) -> list[str]:
     """Check that transport is an isomorphism of labeled graphs up to `depth`.
 
     Returns human-readable findings; empty means the depth-truncated graphs

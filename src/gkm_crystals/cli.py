@@ -34,7 +34,7 @@ from .cartan import (
     quiver_to_cartan,
     weight_height,
 )
-from .crystal import check_strict_morphism, export_graph, generate_graph, verify_axioms
+from .crystal import DEFAULT_NODE_CAP, check_strict_morphism, export_graph, generate_graph, verify_axioms
 from .errors import DepthExceededError, GkmError, InputError
 from .geometry import (
     DEFAULT_FLAG_DIM_BOUND,
@@ -86,7 +86,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cartan", help="path to a JSON Borcherds-Cartan matrix")
     parser.add_argument("--quiver", help="path to a JSON quiver (Omega arrows)")
     parser.add_argument("--iota", default="cyclic", help='index sequence: "cyclic" or a comma list, e.g. "1,2,1"')
-    parser.add_argument("--cap", type=int, default=10000, help="node cap for enumeration")
+    parser.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP, help="node cap for enumeration")
 
 
 def cmd_graph(args) -> tuple[int, str]:

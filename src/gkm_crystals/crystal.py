@@ -22,6 +22,9 @@ from .errors import DepthExceededError, EvaluationFailureError, UnknownFormatErr
 # needs; no other float ever enters these computations.
 NEG_INF = float("-inf")
 
+# Enumeration stops with DepthExceededError past this many elements.
+DEFAULT_NODE_CAP = 10000
+
 
 class Crystal:
     """Behavioral contract shared by every crystal implementation.
@@ -185,7 +188,7 @@ class CrystalGraph:
     root: str
 
 
-def reachable(crystal: Crystal, root, depth: int, cap: int = 10000):
+def reachable(crystal: Crystal, root, depth: int, cap: int = DEFAULT_NODE_CAP):
     """Breadth-first closure of `root` under the lowering operators.
 
     Returns (elements, edges, layer_sizes), with edges as (source element,
@@ -221,7 +224,7 @@ def reachable(crystal: Crystal, root, depth: int, cap: int = 10000):
     return elements, edges, layer_sizes
 
 
-def generate_graph(crystal: Crystal, root, depth: int, cap: int = 10000) -> CrystalGraph:
+def generate_graph(crystal: Crystal, root, depth: int, cap: int = DEFAULT_NODE_CAP) -> CrystalGraph:
     """Crystal graph of everything reachable from `root` within `depth` lowerings.
 
     The one place where enumerated elements become key strings.

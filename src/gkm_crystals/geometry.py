@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import product
 
 from .cartan import Quiver, _loaded_dict, load_quiver
 from .errors import (
@@ -165,12 +166,6 @@ def _closure(spaces: list[EchelonBasis], maps) -> list[EchelonBasis]:
     return spaces
 
 
-def _closure_under_loops(rep: QuiverRep, i: int, rows: list[Vec]) -> EchelonBasis:
-    """Smallest subspace of V_i containing `rows` and stable under every loop at i."""
-    loops = [(0, 0, rep.mats[k]) for k in _loop_positions_at(rep, i)]
-    return _closure([EchelonBasis(rep.dims[i - 1], rows)], loops)[0]
-
-
 def eps_point(rep: QuiverRep, i: int) -> int:
     """Codimension in V_i of the loop-stable closure of the non-loop incoming images."""
     if not 1 <= i <= rep.quiver.vertex_count:
@@ -180,7 +175,8 @@ def eps_point(rep: QuiverRep, i: int) -> int:
     for k, arrow in enumerate(rep.quiver.arrows):
         if arrow.target == i and arrow.source != i:
             rows.extend(rep.mats[k].transpose().entries)  # column space as rows
-    return d - len(_closure_under_loops(rep, i, rows))
+    loops = [(0, 0, rep.mats[k]) for k in _loop_positions_at(rep, i)]
+    return d - len(_closure([EchelonBasis(d, rows)], loops)[0])
 
 
 def _flatten(m: RatMat) -> Vec:
@@ -234,18 +230,6 @@ class FlagWitness:
     steps: tuple[tuple[int, Vec], ...]
 
 
-def _graded_closure(rep: QuiverRep, seed) -> list[EchelonBasis]:
-    """Close a graded subspace under every arrow of the doubled quiver."""
-    maps = [(a.source - 1, a.target - 1, rep.mats[k]) for k, a in enumerate(rep.quiver.arrows)]
-    return _closure([EchelonBasis(d, rows) for d, rows in zip(rep.dims, seed)], maps)
-
-
-def _complement(upper: list[Vec], lower: list[Vec], width: int) -> list[Vec]:
-    """Rows of `upper` extending `lower` to a basis of span(upper)."""
-    acc = EchelonBasis(width, lower)
-    return [v for v in upper if acc.add(v)]
-
-
 def _unit(k: int, n: int) -> Vec:
     return tuple(Q(1 if j == k else 0) for j in range(n))
 
@@ -277,40 +261,38 @@ def _lift(w: Vec, comp: list[Vec], width: int) -> Vec:
     return tuple(sum((w[a] * comp[a][j] for a in range(len(comp))), Q(0)) for j in range(width))
 
 
-def _triangularize(ops: list[RatMat], q: int) -> list[Vec] | None:
-    """Order a basis of Q^q so every prefix span is invariant under all ops.
+def _triangularize(ops: list[RatMat], upper: list[Vec], lower: list[Vec], width: int) -> list[Vec] | None:
+    """Rows extending `lower` to a basis of span(upper), every prefix span invariant under all ops.
 
-    Takes the first rational joint eigenvector v and recurses on the
-    quotient by <v>; returns None when no rational ordering exists.  One
-    candidate suffices: an invariant complete flag of Q^q maps onto one of
-    Q^q/<w> for every invariant line <w>, so if the quotient by <v> has no
-    flag, neither has Q^q.
+    Each step takes the first rational joint eigenvector of the ops on
+    span(upper)/span(lower) (ops in order, roots ascending), adds it to the
+    flag, and drops from the complement the vector at its last nonzero
+    coordinate.  Returns None when no rational ordering exists.  One
+    candidate suffices: an invariant complete flag of a space maps onto one
+    of its quotient by every invariant line, so if the quotient by the
+    chosen line has no flag, neither has the space.
     """
-    if q == 0:
-        return []
+    acc = EchelonBasis(width, lower)
+    comp = [v for v in upper if acc.add(v)]
     if not ops:
-        return [_unit(k, q) for k in range(q)]
-    root_lists = []
-    for t in ops:
-        roots = rational_roots(charpoly(t))
-        if not roots:
+        return comp
+    grown = list(lower)
+    while comp:
+        induced = _induced_ops(ops, comp, grown, width)
+        identity = RatMat.identity(len(comp))
+        for combo in product(*(rational_roots(charpoly(t)) for t in induced)):
+            stacked: list[Vec] = []
+            for t, lam in zip(induced, combo):
+                stacked.extend((t - identity.scale(lam)).entries)
+            kernel = nullspace(RatMat.from_rows(stacked, nrows=len(stacked), ncols=len(comp)))
+            if kernel:
+                break
+        else:
             return None
-        root_lists.append(roots)
-    combos: list[tuple[Q, ...]] = [()]
-    for roots in root_lists:
-        combos = [c + (r,) for c in combos for r in roots]
-    for combo in combos:
-        stacked: list[Vec] = []
-        for t, lam in zip(ops, combo):
-            shifted = t - RatMat.identity(q).scale(lam)
-            stacked.extend(shifted.entries)
-        kernel = nullspace(RatMat.from_rows(stacked, nrows=len(stacked), ncols=q))
-        if kernel:
-            cand = kernel[0]
-            comp = _complement([_unit(k, q) for k in range(q)], [cand], q)
-            sub = _triangularize(_induced_ops(ops, comp, [cand], q), q - 1)
-            return None if sub is None else [cand] + [_lift(w, comp, q) for w in sub]
-    return None
+        w = kernel[0]
+        grown.append(_lift(w, comp, width))
+        del comp[max(a for a, x in enumerate(w) if x)]
+    return grown[len(lower):]
 
 
 def flag_exists(rep: QuiverRep) -> FlagWitness | None:
@@ -327,8 +309,9 @@ def flag_exists(rep: QuiverRep) -> FlagWitness | None:
     if total > DEFAULT_FLAG_DIM_BOUND:
         raise DimensionExceededError(f"total dimension {total} exceeds the bound {DEFAULT_FLAG_DIM_BOUND}")
     nv = rep.quiver.vertex_count
-    weak = set(rep.quiver.weak_positions())
+    weak = rep.quiver.weak_positions()
     strict = [k for k in range(len(rep.quiver.arrows)) if k not in weak]
+    closing = [(a.source - 1, a.target - 1, rep.mats[k]) for k, a in enumerate(rep.quiver.arrows)]
 
     full = [EchelonBasis(d, [_unit(k, d) for k in range(d)]) for d in rep.dims]
     chain = [full]
@@ -340,7 +323,7 @@ def flag_exists(rep: QuiverRep) -> FlagWitness | None:
             src, tgt = arrow.source - 1, arrow.target - 1
             if current[src]:
                 seed[tgt].extend(rep.mats[k].apply_rows(current[src].rows))
-        nxt = _graded_closure(rep, seed)
+        nxt = _closure([EchelonBasis(d, rows) for d, rows in zip(rep.dims, seed)], closing)
         if list(map(len, nxt)) == list(map(len, current)):
             return None  # strict part is not nilpotent
         chain.append(nxt)
@@ -350,15 +333,11 @@ def flag_exists(rep: QuiverRep) -> FlagWitness | None:
     for layer in range(len(chain) - 2, -1, -1):
         upper, lower = chain[layer], chain[layer + 1]
         for v in range(nv):
-            comp = _complement(upper[v].rows, lower[v].rows, rep.dims[v])
-            if not comp:
-                continue
             ops = [rep.mats[k] for k in weak if rep.quiver.arrows[k].source - 1 == v]
-            induced = _induced_ops(ops, comp, lower[v].rows, rep.dims[v])
-            order = _triangularize(induced, len(comp))
+            order = _triangularize(ops, upper[v].rows, lower[v].rows, rep.dims[v])
             if order is None:
                 return None
-            steps.extend((v + 1, _lift(w, comp, rep.dims[v])) for w in order)
+            steps.extend((v + 1, w) for w in order)
     witness = FlagWitness(tuple(steps))
     problems = verify_flag(rep, witness)
     if problems:

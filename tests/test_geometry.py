@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
 from gkm_crystals import geometry
 from gkm_crystals.cartan import Quiver
 from gkm_crystals.errors import DimensionExceededError, InputError, ShapeMismatchError
-from gkm_crystals.exactlin import RatMat
+from gkm_crystals.exactlin import EchelonBasis, RatMat, charpoly, nullspace, rational_roots
 from gkm_crystals.geometry import (
     FlagWitness,
     QuiverRep,
@@ -189,8 +190,21 @@ def test_flag_search_stops_after_one_candidate(monkeypatch):
 
     monkeypatch.setattr(geometry, "nullspace", counting)
     op = RatMat.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-    assert geometry._triangularize([op], 4) is None
+    assert geometry._triangularize([op], _units(4), [], 4) is None
     assert len(calls) == 2
+
+
+def test_flag_takes_weak_loops_in_arrow_order():
+    # vertex 1 carries the weak loops h5 = diag(1, 2) and h9 = diag(4, 3).  In
+    # arrow order the first joint eigenvalue pair with a common eigenvector
+    # is (1, 4), so the flag starts with e_1; taking h9 first would give (3, 2)
+    # and e_2.
+    quiver = Quiver.from_omega_arrows(2, [(1, 1), (1, 2), (2, 1), (2, 2), (1, 1)])
+    assert quiver.weak_positions() == (5, 8, 9)
+    mats = [RatMat.zeros((2, 0)[a.target - 1], (2, 0)[a.source - 1]) for a in quiver.arrows]
+    mats[5], mats[9] = RatMat.from_rows([[1, 0], [0, 2]]), RatMat.from_rows([[4, 0], [0, 3]])
+    witness = flag_exists(QuiverRep(quiver, (2, 0), tuple(mats)))
+    assert witness.steps == ((1, (Q(1), Q(0))), (1, (Q(0), Q(1))))
 
 
 def _unimodular(rng: random.Random, n: int) -> tuple[RatMat, RatMat]:
@@ -229,3 +243,151 @@ def test_flag_found_on_large_spectra(seed):
     assert witness is not None
     assert [v for v, _ in witness.steps] == [1, 1, 1, 2, 2, 2]
     assert verify_flag(rep, witness) == []
+
+
+# -- the flag search against a recursive reference --------------------------
+#
+# `_reference_steps` triangularizes each filtration layer by recursing on
+# unit-vector quotients and lifting the result through the layer's
+# complement, with the weak loops in arrow order.  The library's iterative
+# search must return the same steps, exact vector for exact vector, and
+# None on the same representations.
+
+_SHAPES = {
+    "jordan": ([(1, 1)], [(1,), (2,), (3,), (4,)]),
+    "readme": ([(1, 1), (1, 2)], [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (4, 2)]),
+    "chain": ([(1, 1), (1, 2), (2, 3), (3, 3)], [(1, 1, 1), (2, 1, 1), (1, 1, 2), (2, 1, 2), (2, 2, 2)]),
+    # vertex 1 carries two weak loops, h5 and h9
+    "two loops": ([(1, 1), (1, 2), (2, 1), (2, 2), (1, 1)], [(2, 0), (3, 0), (2, 1), (3, 1), (2, 2), (4, 2)]),
+}
+
+
+def _units(q: int) -> list[tuple[Q, ...]]:
+    return [tuple(Q(int(i == j)) for j in range(q)) for i in range(q)]
+
+
+def _recursive_triangularize(ops: list[RatMat], q: int):
+    """Order a basis of Q^q so every prefix span is invariant under all ops, by recursion on quotients."""
+    if q == 0:
+        return []
+    if not ops:
+        return _units(q)
+    root_lists = [rational_roots(charpoly(t)) for t in ops]
+    for combo in product(*root_lists):
+        stacked = []
+        for t, lam in zip(ops, combo):
+            stacked.extend((t - RatMat.identity(q).scale(lam)).entries)
+        kernel = nullspace(RatMat.from_rows(stacked, nrows=len(stacked), ncols=q))
+        if kernel:
+            cand = kernel[0]
+            acc = EchelonBasis(q, [cand])
+            comp = [u for u in _units(q) if acc.add(u)]
+            sub = _recursive_triangularize(geometry._induced_ops(ops, comp, [cand], q), q - 1)
+            return None if sub is None else [cand] + [geometry._lift(w, comp, q) for w in sub]
+    return None
+
+
+def _reference_steps(rep: QuiverRep):
+    """Flag steps from the bottom, or None, by the strict-image filtration and recursive layers."""
+    nv, arrows = rep.quiver.vertex_count, rep.quiver.arrows
+    weak = rep.quiver.weak_positions()
+    maps = [(a.source - 1, a.target - 1, rep.mats[k]) for k, a in enumerate(arrows)]
+    current = [EchelonBasis(d, _units(d)) for d in rep.dims]
+    chain = [current]
+    while any(current):
+        seed = [[] for _ in range(nv)]
+        for k, a in enumerate(arrows):
+            if k not in weak and current[a.source - 1]:
+                seed[a.target - 1].extend(rep.mats[k].apply_rows(current[a.source - 1].rows))
+        nxt = geometry._closure([EchelonBasis(d, rows) for d, rows in zip(rep.dims, seed)], maps)
+        if list(map(len, nxt)) == list(map(len, current)):
+            return None
+        chain.append(nxt)
+        current = nxt
+    steps = []
+    for upper, lower in zip(chain[-2::-1], chain[::-1]):
+        for v in range(nv):
+            acc = EchelonBasis(rep.dims[v], lower[v].rows)
+            comp = [u for u in upper[v].rows if acc.add(u)]
+            if not comp:
+                continue
+            ops = [rep.mats[k] for k in weak if arrows[k].source - 1 == v]
+            induced = geometry._induced_ops(ops, comp, lower[v].rows, rep.dims[v])
+            order = _recursive_triangularize(induced, len(comp))
+            if order is None:
+                return None
+            steps.extend((v + 1, geometry._lift(w, comp, rep.dims[v])) for w in order)
+    return tuple(steps)
+
+
+def _irrational_block(rng: random.Random) -> list[list[int]]:
+    """A 2x2 integer matrix whose eigenvalues are irrational: trace 2t, determinant t^2 - p, p prime."""
+    t, p = rng.randint(-3, 3), rng.choice((2, 3, 5, 7))
+    b = rng.choice((1, p))
+    return [[t, b], [p // b, t]]
+
+
+def _scrambled_rep(rng: random.Random, name: str, kind: str) -> QuiverRep:
+    """A representation of one of the _SHAPES, in a random basis.
+
+    "flag": strict arrows descend and weak loops are upper triangular along
+    a random interleaving of the vertex bases, with small (often repeated)
+    integer eigenvalues.  "loops": the same strict arrows, but random weak
+    loops.  "irrational": a flag rep whose first weak loop at vertex 1 has a
+    2x2 block with irrational eigenvalues on its diagonal.  "random": every
+    matrix random.
+    """
+    omega, shapes = _SHAPES[name]
+    quiver = Quiver.from_omega_arrows(len(shapes[0]), omega)
+    dims = rng.choice(shapes)
+    order = [v for v, d in enumerate(dims) for _ in range(d)]
+    rng.shuffle(order)
+    pos, seen = {}, [0] * len(dims)
+    for p, v in enumerate(order):
+        pos[v, seen[v]] = p
+        seen[v] += 1
+    block_loop = next((k for k in quiver.weak_positions() if quiver.arrows[k].source == 1), None)
+    mats = []
+    for k, arrow in enumerate(quiver.arrows):
+        s, t = arrow.source - 1, arrow.target - 1
+        weak = k in quiver.weak_positions()
+        m = [[0] * dims[s] for _ in range(dims[t])]
+        for a in range(dims[t]):
+            for b in range(dims[s]):
+                if kind == "random" or (kind == "loops" and weak):
+                    m[a][b] = rng.choice((0, 0, -2, -1, 1, 2))
+                elif weak and a == b:
+                    m[a][b] = rng.randint(-2, 2)
+                elif (pos[t, a] <= pos[s, b]) if weak else (pos[t, a] < pos[s, b]):
+                    m[a][b] = rng.choice((0, 0, -2, -1, 1, 2))
+        if kind == "irrational" and k == block_loop and dims[0] >= 2:
+            # the first two vertex-1 vectors of the flag order span an invariant plane with no rational eigenvector
+            first, block = sorted(range(dims[0]), key=lambda a: pos[0, a])[:2], _irrational_block(rng)
+            for x, a in enumerate(first):
+                for y, b in enumerate(first):
+                    m[a][b] = block[x][y]
+        mats.append(m)
+    bases = [_unimodular(rng, d) if d > 1 else (RatMat.identity(d),) * 2 for d in dims]
+    conj = [bases[a.target - 1][0] @ RatMat.from_rows(m, nrows=dims[a.target - 1], ncols=dims[a.source - 1])
+            @ bases[a.source - 1][1] for a, m in zip(quiver.arrows, mats)]
+    return QuiverRep(quiver, tuple(dims), tuple(conj))
+
+
+def test_witnesses_match_the_recursive_reference():
+    rng = random.Random(20240611)
+    kinds = ("flag", "flag", "loops", "irrational", "random")
+    found = none = 0
+    for k in range(320):
+        rep = _scrambled_rep(rng, sorted(_SHAPES)[k % len(_SHAPES)], kinds[(k // len(_SHAPES)) % len(kinds)])
+        witness, ref = flag_exists(rep), _reference_steps(rep)
+        assert (witness is None) == (ref is None), (k, rep)
+        if witness is None:
+            none += 1
+            continue
+        found += 1
+        assert len(witness.steps) == len(ref)
+        for (v, vec), (ref_v, ref_vec) in zip(witness.steps, ref):
+            assert v == ref_v
+            assert all(type(x) is Q for x in vec)
+            assert vec == ref_vec, (k, rep)
+    assert found >= 150 and none >= 50
