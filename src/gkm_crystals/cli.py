@@ -18,6 +18,7 @@ compares the crystal with itself.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 
@@ -192,6 +193,7 @@ def cmd_geom(args) -> tuple[int, str]:
     return EXIT_OK, "".join(out)
 
 
+@functools.cache  # one parser per process: its defaults bind the cmd_* functions at the first call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gkm-crystals",

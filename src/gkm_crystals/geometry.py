@@ -5,8 +5,10 @@ matrix B_h : V_out(h) -> V_in(h) to each arrow of the doubled quiver.
 This module evaluates, at a single representation point: the moment map,
 the graded-complete-flag condition (strict arrows must step the flag
 down, weak loops must preserve it), regular semisimplicity of the weak
-loop matrices, and the crystal statistics eps_i and eps*_i read off from
-closures of arrow images under the loop algebra.
+loop matrices, and the crystal statistics eps_i and eps*_i: eps_i from the
+loop-stable closure of the incoming arrow images, eps*_i from the same
+closure on the adjoint, checked against the largest loop-stable subspace
+killed by the outgoing arrows.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import product
 
 from .cartan import Quiver, _loaded_dict, load_quiver
 from .errors import (
@@ -179,43 +180,33 @@ def eps_point(rep: QuiverRep, i: int) -> int:
     return d - len(_closure([EchelonBasis(d, rows)], loops)[0])
 
 
-def _flatten(m: RatMat) -> Vec:
-    return tuple(x for row in m.entries for x in row)
-
-
-def _loop_algebra(rep: QuiverRep, i: int) -> list[RatMat]:
-    """Basis of the unital algebra generated by the loop operators at i."""
-    d = rep.dims[i - 1]
-    gens = [rep.mats[k] for k in _loop_positions_at(rep, i)]
-    basis = [RatMat.identity(d)]
-    flat = EchelonBasis(d * d, [_flatten(basis[0])])
-    frontier = list(basis)
-    while frontier:
-        products = [t @ a for t in gens for a in frontier]
-        frontier = [p for p in products if flat.add(_flatten(p))]
-        basis.extend(frontier)
-    return basis
+def _kernel(rows: list[Vec], width: int) -> list[Vec]:
+    return nullspace(RatMat.from_rows(rows, nrows=len(rows), ncols=width))
 
 
 def eps_star_point(rep: QuiverRep, i: int) -> int:
-    """eps_i of the adjoint representation, cross-checked by the kernel formula.
+    """eps_i of the adjoint representation, cross-checked by a kernel iteration.
 
-    The kernel formula computes dim of the intersection of ker(B_h A) over
-    all non-loop arrows h leaving i and all A in the loop algebra at i.
+    The second route starts from K, the intersection of ker B_h over the
+    non-loop arrows h leaving i, and replaces K by its vectors that every
+    loop T at i maps back into K, until the dimension stops falling.  The
+    limit is the largest loop-stable subspace killed by those arrows.
     Disagreement raises InternalInconsistencyError.
     """
     primary = eps_point(star_rep(rep), i)
     d = rep.dims[i - 1]
-    outgoing = [k for k, a in enumerate(rep.quiver.arrows) if a.source == i and a.target != i]
-    alg = _loop_algebra(rep, i)
-    stacked: list[Vec] = []
-    for k in outgoing:
-        for a in alg:
-            stacked.extend((rep.mats[k] @ a).entries)
-    kernel_dim = len(nullspace(RatMat.from_rows(stacked, nrows=len(stacked), ncols=d)))
-    if kernel_dim != primary:
+    rows = [r for k, a in enumerate(rep.quiver.arrows) if a.source == i and a.target != i for r in rep.mats[k].entries]
+    loops = [rep.mats[k].transpose() for k in _loop_positions_at(rep, i)]
+    space = _kernel(rows, d)
+    while space:
+        annihilator = _kernel(space, d)  # T x lies in K exactly when a T x = 0 for each row a
+        shrunk = _kernel(rows + [r for t in loops for r in t.apply_rows(annihilator)], d)
+        if len(shrunk) == len(space):
+            break
+        space = shrunk
+    if len(space) != primary:
         raise InternalInconsistencyError(
-            f"eps*_{i}: adjoint closure gives {primary}, kernel formula gives {kernel_dim}"
+            f"eps*_{i}: adjoint closure gives {primary}, kernel iteration gives {len(space)}"
         )
     return primary
 
@@ -267,10 +258,14 @@ def _triangularize(ops: list[RatMat], upper: list[Vec], lower: list[Vec], width:
     Each step takes the first rational joint eigenvector of the ops on
     span(upper)/span(lower) (ops in order, roots ascending), adds it to the
     flag, and drops from the complement the vector at its last nonzero
-    coordinate.  Returns None when no rational ordering exists.  One
-    candidate suffices: an invariant complete flag of a space maps onto one
-    of its quotient by every invariant line, so if the quotient by the
-    chosen line has no flag, neither has the space.
+    coordinate.  Roots are chosen one op at a time, and a prefix of choices
+    whose joint kernel is zero is dropped: the surviving kernels form a
+    direct sum, so at most dim(quotient) prefixes survive each op, and the
+    first survivor is the first combination in product order.  Returns None
+    when no rational ordering exists.  One candidate suffices: an invariant
+    complete flag of a space maps onto one of its quotient by every
+    invariant line, so if the quotient by the chosen line has no flag,
+    neither has the space.
     """
     acc = EchelonBasis(width, lower)
     comp = [v for v in upper if acc.add(v)]
@@ -280,16 +275,14 @@ def _triangularize(ops: list[RatMat], upper: list[Vec], lower: list[Vec], width:
     while comp:
         induced = _induced_ops(ops, comp, grown, width)
         identity = RatMat.identity(len(comp))
-        for combo in product(*(rational_roots(charpoly(t)) for t in induced)):
-            stacked: list[Vec] = []
-            for t, lam in zip(induced, combo):
-                stacked.extend((t - identity.scale(lam)).entries)
-            kernel = nullspace(RatMat.from_rows(stacked, nrows=len(stacked), ncols=len(comp)))
-            if kernel:
-                break
-        else:
-            return None
-        w = kernel[0]
+        prefixes: list[tuple[list[Vec], list[Vec]]] = [([], [])]  # (stacked rows, joint kernel)
+        for t in induced:
+            roots = rational_roots(charpoly(t))
+            extended = (rows + list((t - identity.scale(lam)).entries) for rows, _ in prefixes for lam in roots)
+            prefixes = [(rows, kernel) for rows in extended if (kernel := _kernel(rows, len(comp)))]
+            if not prefixes:
+                return None
+        w = prefixes[0][1][0]
         grown.append(_lift(w, comp, width))
         del comp[max(a for a, x in enumerate(w) if x)]
     return grown[len(lower):]

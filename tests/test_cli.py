@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from gkm_crystals import cli, oracle
+from gkm_crystals import cli, geometry, oracle
 from gkm_crystals.cartan import MAX_RANK
 from gkm_crystals.crystal import Violation
 from gkm_crystals.errors import InexactDivisionError, InternalInconsistencyError
@@ -300,6 +300,14 @@ def test_geom_tripwire_exits_four(files, capsys, monkeypatch):
         raise InternalInconsistencyError("planted disagreement")
 
     monkeypatch.setattr(cli, "flag_exists", tripped)
+    assert cli.main(["geom", "--rep", files["rep.json"]]) == 4
+    assert _one_line_internal_error(capsys)
+
+
+def test_eps_star_disagreement_exits_four(files, capsys, monkeypatch):
+    # The adjoint closure reads one more than the kernel iteration.
+    real_eps_point = geometry.eps_point
+    monkeypatch.setattr(geometry, "eps_point", lambda rep, i: real_eps_point(rep, i) + 1)
     assert cli.main(["geom", "--rep", files["rep.json"]]) == 4
     assert _one_line_internal_error(capsys)
 

@@ -8,7 +8,7 @@ import pytest
 
 from gkm_crystals import geometry
 from gkm_crystals.cartan import Quiver
-from gkm_crystals.errors import DimensionExceededError, InputError, ShapeMismatchError
+from gkm_crystals.errors import DimensionExceededError, InputError, InternalInconsistencyError, ShapeMismatchError
 from gkm_crystals.exactlin import EchelonBasis, RatMat, charpoly, nullspace, rational_roots
 from gkm_crystals.geometry import (
     FlagWitness,
@@ -207,6 +207,29 @@ def test_flag_takes_weak_loops_in_arrow_order():
     assert witness.steps == ((1, (Q(1), Q(0))), (1, (Q(0), Q(1))))
 
 
+def test_flag_search_work_is_linear_in_the_weak_loops(monkeypatch):
+    # One vertex of dimension 2 with k loops.  The Omega loops are zero, and
+    # the weak loops are diag(1, 2) except h_{k+1}, which swaps the basis
+    # vectors, so no joint eigenvector exists.  Trying every combination of
+    # roots would take 2^k kernels; a prefix with a zero kernel is dropped,
+    # so each loop costs at most (surviving prefixes) x (roots) = 2 x 2.
+    k = 12
+    quiver = Quiver.from_omega_arrows(1, [(1, 1)] * k)
+    assert quiver.weak_positions() == tuple(range(k, 2 * k))
+    diag, swap = RatMat.from_rows([[1, 0], [0, 2]]), RatMat.from_rows([[0, 1], [1, 0]])
+    mats = [RatMat.zeros(2, 2)] * k + [swap if h == k + 1 else diag for h in range(k, 2 * k)]
+    calls = []
+    real_nullspace = geometry.nullspace
+
+    def counting(m):
+        calls.append(m)
+        return real_nullspace(m)
+
+    monkeypatch.setattr(geometry, "nullspace", counting)
+    assert flag_exists(QuiverRep(quiver, (2,), tuple(mats))) is None
+    assert len(calls) <= 2 * 2 * k
+
+
 def _unimodular(rng: random.Random, n: int) -> tuple[RatMat, RatMat]:
     """An integer matrix of determinant 1 and its inverse, from random column additions."""
     u, inv = [[int(i == j) for j in range(n)] for i in range(n)], [[int(i == j) for j in range(n)] for i in range(n)]
@@ -245,6 +268,77 @@ def test_flag_found_on_large_spectra(seed):
     assert verify_flag(rep, witness) == []
 
 
+def test_eps_star_tripwire_fires_when_the_routes_disagree(monkeypatch):
+    real_eps_point = geometry.eps_point
+    monkeypatch.setattr(geometry, "eps_point", lambda rep, i: real_eps_point(rep, i) + 1)
+    with pytest.raises(InternalInconsistencyError):
+        eps_star_point(pinned_rep(), 1)
+
+
+def _loop_algebra_kernel_dim(rep: QuiverRep, i: int) -> int:
+    """dim of the intersection of ker(B_h A) over non-loop arrows h leaving i and A in the loop algebra at i.
+
+    The loop algebra is spanned by products of the loops at i, grown from
+    the identity until no product leaves the span.
+    """
+    d, arrows = rep.dims[i - 1], rep.quiver.arrows
+    gens = [rep.mats[k] for k, a in enumerate(arrows) if a.source == i == a.target]
+
+    def flat(m):
+        return tuple(x for row in m.entries for x in row)
+
+    algebra = [RatMat.identity(d)]
+    span = EchelonBasis(d * d, [flat(algebra[0])])
+    frontier = list(algebra)
+    while frontier:
+        frontier = [p for p in (t @ a for t in gens for a in frontier) if span.add(flat(p))]
+        algebra.extend(frontier)
+    stacked = [row for k, a in enumerate(arrows) if a.source == i != a.target
+               for b in algebra for row in (rep.mats[k] @ b).entries]
+    return len(nullspace(RatMat.from_rows(stacked, nrows=len(stacked), ncols=d)))
+
+
+_KERNEL_QUIVERS = [
+    [(1, 1), (1, 2)],
+    [(1, 1), (1, 1), (1, 2)],
+    [(1, 1), (1, 2), (2, 1), (2, 2)],
+    [(1, 1), (1, 1), (1, 1), (1, 2), (1, 3)],
+    [(1, 1), (2, 1), (2, 3), (3, 3)],
+]
+
+
+def test_eps_star_kernel_iteration_matches_the_loop_algebra_formula():
+    # Vertex 1 has dimension 1..3.  A quarter of the reps are random and
+    # sparse.  In the others the loops at vertex 1 are upper triangular and
+    # the arrows leaving it kill the first r basis vectors (0 < r < d when
+    # d > 1), so a loop-stable kernel of dimension at least r exists; then
+    # vertex 1 is conjugated by a unimodular matrix.  eps_star_point raises
+    # unless its two routes agree, so this checks all three.
+    rng = random.Random(20261018)
+    pairs = middle = 0
+    for n in range(300):
+        quiver = Quiver.from_omega_arrows(max(map(max, _KERNEL_QUIVERS[n % 5])), _KERNEL_QUIVERS[n % 5])
+        dims = tuple(rng.randint(1, 3) if v == 0 else rng.randint(0, 2) for v in range(quiver.vertex_count))
+        d, r, structured = dims[0], rng.randint(1, max(dims[0] - 1, 1)), n % 4 != 0
+        u, u_inv = _unimodular(rng, d) if d > 1 else (RatMat.identity(d),) * 2
+        mats = []
+        for arrow in quiver.arrows:
+            s, t = arrow.source - 1, arrow.target - 1
+            m = RatMat.from_rows([[0 if structured and ((s == t == 0 and a > b) or (s == 0 != t and b < r))
+                                   else rng.choice((0, 0, 0, -1, 1, 2)) for b in range(dims[s])]
+                                  for a in range(dims[t])], nrows=dims[t], ncols=dims[s])
+            if structured:
+                m = (u if t == 0 else RatMat.identity(dims[t])) @ m @ (u_inv if s == 0 else RatMat.identity(dims[s]))
+            mats.append(m)
+        rep = QuiverRep(quiver, dims, tuple(mats))
+        for i in range(1, quiver.vertex_count + 1):
+            want = _loop_algebra_kernel_dim(rep, i)
+            assert eps_star_point(rep, i) == want, (n, i, rep)
+            pairs += 1
+            middle += 0 < want < dims[i - 1]
+    assert pairs == 720 and middle >= 100
+
+
 # -- the flag search against a recursive reference --------------------------
 #
 # `_reference_steps` triangularizes each filtration layer by recursing on
@@ -259,6 +353,8 @@ _SHAPES = {
     "chain": ([(1, 1), (1, 2), (2, 3), (3, 3)], [(1, 1, 1), (2, 1, 1), (1, 1, 2), (2, 1, 2), (2, 2, 2)]),
     # vertex 1 carries two weak loops, h5 and h9
     "two loops": ([(1, 1), (1, 2), (2, 1), (2, 2), (1, 1)], [(2, 0), (3, 0), (2, 1), (3, 1), (2, 2), (4, 2)]),
+    # vertex 1 carries three weak loops, h4, h5 and h7
+    "three loops": ([(1, 1), (1, 1), (1, 2), (1, 1)], [(2, 0), (3, 0), (4, 0), (2, 1), (3, 1), (3, 2)]),
 }
 
 
