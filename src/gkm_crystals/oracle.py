@@ -11,13 +11,16 @@ graded dimension at alpha is then
 computed exactly over Z[q, q^-1] with fraction-free (Bareiss) elimination
 on sparse rows: the row of u * r * v has entries only at the words u * w * v
 for the terms w of r, so each row is a dict from column to nonzero entry.
-Every coefficient is an integer Laurent polynomial in q and every division
-performed is exact; a remainder raises InexactDivisionError instead of
-rounding anything.
+A row with no entry in the pivot column is not rescaled at that step; it
+is brought up to date by the telescoped factor piv_t / piv_s only when it
+is next used.  Every coefficient is an integer Laurent polynomial in q and
+every division performed is exact; a remainder raises InexactDivisionError
+instead of rounding anything.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -120,8 +123,12 @@ def q_factorial(n: int) -> Laurent:
     return out
 
 
+@functools.cache
 def q_binomial(m: int, k: int) -> Laurent:
-    """Balanced q-binomial [m choose k]; division is exact by construction."""
+    """Balanced q-binomial [m choose k]; division is exact by construction.
+
+    Cached: build_relations asks for the same few entries at every weight,
+    and no caller changes a Laurent's coefficients in place."""
     if k < 0 or k > m:
         return Laurent.zero()
     return q_factorial(m).exact_div(q_factorial(k)).exact_div(q_factorial(m - k))
@@ -206,31 +213,48 @@ def laurent_rank(rows: list[dict[int, Laurent]], ncols: int) -> int:
 
     Each row is sparse: a dict from column to entry, zero entries dropped.
     One-step Bareiss: the pivot in column c is the first remaining row with
-    an entry there, and every nonempty row below it becomes (piv * row -
-    lead * pivot row) / prev over the union of the two rows' columns, a row
-    with no entry in c included.  Every division by the previous pivot is
-    exact in the Laurent ring, which keeps coefficient growth polynomial and
-    exactness guaranteed (a remainder would raise).  A row that becomes empty
-    keeps its place, so the pivot sequence is that of the same elimination
-    on dense rows.
+    an entry there, and every row below it with an entry in c becomes
+    (piv * row - lead * pivot row) / prev over the union of the two rows'
+    columns.  A row with no entry in c would only be rescaled by piv / prev;
+    over steps s+1..t those factors telescope to piv_t / piv_s.  So such a
+    row is skipped with no arithmetic, it keeps the prev at which it was
+    last made current, and it is brought up to date, one exact
+    (x * prev) / stamp per entry, just before it is used: as the pivot row,
+    or when it has an entry in the pivot column.  Every entry an update
+    reads is then the entry of the same elimination on dense rows, so the
+    pivot sequence is the same, every division is exact in the Laurent ring,
+    and a remainder would raise.  Scaling by a nonzero factor keeps a row's
+    columns, so a stale row picks the same pivot as a current one, and a
+    row that is never used again is never rescaled.
     """
     zero = Laurent.zero()
     work = [{j: x for j, x in row.items() if x} for row in rows]
     prev = Laurent.one()
+    # stamp[k]: the prev at which work[k] was last made current.
+    stamp = [prev] * len(work)
+
+    def current(k: int) -> dict[int, Laurent]:
+        if stamp[k] is not prev:
+            work[k] = {j: (x * prev).exact_div(stamp[k]) for j, x in work[k].items()}
+            stamp[k] = prev
+        return work[k]
+
     r = 0
     for c in range(ncols):
         pivot = next((k for k in range(r, len(work)) if c in work[k]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        top = work[r]
+        stamp[r], stamp[pivot] = stamp[pivot], stamp[r]
+        top = current(r)
         piv = top[c]
         for k in range(r + 1, len(work)):
-            row = work[k]
-            lead = row.get(c, zero)
-            cols = row.keys() | top.keys() if lead else row.keys()
-            work[k] = {j: x for j in cols
-                       if (x := (piv * row.get(j, zero) - lead * top.get(j, zero)).exact_div(prev))}
+            if c in work[k]:
+                row = current(k)
+                lead = row[c]
+                work[k] = {j: x for j in row.keys() | top.keys()
+                           if (x := (piv * row.get(j, zero) - lead * top.get(j, zero)).exact_div(prev))}
+                stamp[k] = piv
         prev = piv
         r += 1
     return r

@@ -1,5 +1,7 @@
 """Coordinate-string realization of B(inf): operators, embeddings, transport."""
 
+from itertools import product
+
 import pytest
 
 from gkm_crystals import cli
@@ -154,6 +156,13 @@ def test_height_seven_counts_match_oracle_on_m3():
     counts = graded_counts(BInfinityCrystal(M3), 7)
     for alpha, expected in [((2, 3, 2), 49), ((2, 2, 3), 16)]:
         assert counts[alpha] == graded_dim(M3, alpha) == expected
+
+
+def test_counts_match_oracle_at_every_weight_of_height_seven_on_m3():
+    counts = graded_counts(BInfinityCrystal(M3), 7)
+    weights = [w for w in product(range(8), repeat=3) if sum(w) <= 7]
+    assert len(weights) == 120
+    assert {alpha: counts.get(alpha, 0) for alpha in weights} == {alpha: graded_dim(M3, alpha) for alpha in weights}
 
 
 def test_axioms_on_enumerations():

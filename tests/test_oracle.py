@@ -2,9 +2,11 @@
 
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
+from gkm_crystals import oracle
 from gkm_crystals.cartan import validate_datum
 from gkm_crystals.errors import (
     HeightExceededError,
@@ -195,6 +197,94 @@ def test_laurent_rank_matches_dense_bareiss():
         # Sparse rows omit most zero entries; an explicit zero must not act as a pivot.
         sparse = [{j: x for j, x in enumerate(row) if x or rng.random() < 0.2} for row in dense]
         assert laurent_rank(sparse, width) == _dense_bareiss_rank(dense, width), dense
+
+
+
+def _tall_sparse_rows(rng: random.Random, width: int) -> list[list[Laurent]]:
+    """8-24 dense rows with 1-3 entries each, zero rows, duplicates and Laurent combinations,
+    so that rows often miss several pivot columns in a row before they are used."""
+    rows: list[list[Laurent]] = []
+    for _ in range(rng.randint(8, 24)):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append([Laurent.zero()] * width)
+        elif roll < 0.2 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif roll < 0.35 and len(rows) >= 2:
+            x, y = rng.sample(rows, 2)
+            a, b = _random_laurent(rng), _random_laurent(rng)
+            rows.append([a * s + b * t for s, t in zip(x, y)])
+        else:
+            row = [Laurent.zero()] * width
+            for j in rng.sample(range(width), min(width, rng.randint(1, 3))):
+                row[j] = _random_laurent(rng)
+            rows.append(row)
+    return rows
+
+
+def _rank_and_divisors(rank, rows, ncols):
+    """The rank, and every divisor passed to Laurent.exact_div while computing it."""
+    seen = set()
+    exact_div = Laurent.exact_div
+
+    def spy(self, other):
+        seen.add(tuple(sorted(other.coeffs.items())))
+        return exact_div(self, other)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Laurent, "exact_div", spy)
+        return rank(rows, ncols), seen
+
+
+def test_laurent_rank_matches_dense_bareiss_on_tall_sparse_rows():
+    # Skipped rows are brought up to date before use, so every entry an update
+    # reads is the dense one: the same rank, and no divisor but a dense pivot.
+    rng = random.Random(3054)
+    for _ in range(150):
+        width = rng.randint(1, 10)
+        dense = _tall_sparse_rows(rng, width)
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
+        rank, divisors = _rank_and_divisors(laurent_rank, sparse, width)
+        dense_rank, dense_divisors = _rank_and_divisors(_dense_bareiss_rank, dense, width)
+        assert rank == dense_rank, dense
+        assert divisors <= dense_divisors, dense
+
+
+def _eager_sparse_rank(rows: list[dict[int, Laurent]], ncols: int) -> int:
+    """Reference: sparse one-step Bareiss that divides every row below the pivot at every step."""
+    zero = Laurent.zero()
+    work = [{j: x for j, x in row.items() if x} for row in rows]
+    prev = Laurent.one()
+    r = 0
+    for c in range(ncols):
+        pivot = next((k for k in range(r, len(work)) if c in work[k]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        top = work[r]
+        piv = top[c]
+        for k in range(r + 1, len(work)):
+            row = work[k]
+            lead = row.get(c, zero)
+            cols = row.keys() | top.keys() if lead else row.keys()
+            work[k] = {j: x for j in cols
+                       if (x := (piv * row.get(j, zero) - lead * top.get(j, zero)).exact_div(prev))}
+        prev = piv
+        r += 1
+    return r
+
+
+def _weights_up_to(n: int, height: int):
+    return [w for w in product(range(height + 1), repeat=n) if sum(w) <= height]
+
+
+@pytest.mark.parametrize("matrix", GATE_MATRICES)
+def test_graded_dim_matches_eager_elimination(matrix, monkeypatch):
+    d = validate_datum(matrix)
+    weights = _weights_up_to(d.index_count, 5)
+    lazy = [graded_dim(d, alpha) for alpha in weights]
+    monkeypatch.setattr(oracle, "laurent_rank", _eager_sparse_rank)
+    assert [graded_dim(d, alpha) for alpha in weights] == lazy
 
 
 RANK1_DATA = [[[2]], [[0]], [[-2]]]
