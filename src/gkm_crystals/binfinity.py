@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import BorcherdsCartanDatum, Weight
-from .crystal import DEFAULT_NODE_CAP, NEG_INF, Crystal, reachable
+from .crystal import DEFAULT_NODE_CAP, NEG_INF, Crystal, Violation, check_strict_morphism, reachable
 from .elementary import ElementaryCrystal, ElementaryElement
 from .errors import InputError, InternalInconsistencyError, StrippingStuckError
 from .tensor import TensorCrystal, TensorElement, route
@@ -366,36 +366,14 @@ def graded_counts(crystal: BInfinityCrystal, depth: int, cap: int = DEFAULT_NODE
 
 
 def transport_isomorphism_findings(src: BInfinityCrystal, dst: BInfinityCrystal,
-                                   depth: int, cap: int = DEFAULT_NODE_CAP) -> list[str]:
-    """Check that transport is an isomorphism of labeled graphs up to `depth`.
+                                   depth: int, cap: int = DEFAULT_NODE_CAP) -> list[Violation]:
+    """`check_strict_morphism` of transport on the elements of `src` within `depth`.
 
-    Returns human-readable findings; empty means the depth-truncated graphs
-    match node for node (with statistics) and edge for edge.
+    `dst` is not enumerated: wt is preserved and the empty string is the
+    only canonical string of weight 0, so the head goes to the head, and
+    injectivity and f_i commutation then make transport a bijection onto
+    the elements of `dst` within `depth`, by induction on depth.  The check
+    also compares e_i and the f_i that leave the window.
     """
-    findings: list[str] = []
-    src_elems, src_edges, _ = src.enumerate_to_depth(depth, cap)
-    dst_elems, dst_edges, _ = dst.enumerate_to_depth(depth, cap)
-    images = {b: src.transport(b, dst) for b in src_elems}
-    hit, dst_set = set(images.values()), set(dst_elems)
-    if len(hit) != len(images):
-        findings.append("transport is not injective on the enumerated nodes")
-    extra = sorted(map(dst.key, hit - dst_set))
-    missing = sorted(map(dst.key, dst_set - hit))
-    if extra:
-        findings.append(f"transport images outside the target enumeration: {extra[:3]}")
-    if missing:
-        findings.append(f"target nodes never hit by transport: {missing[:3]}")
-    n = src.datum.index_count
-    for b, t in images.items():
-        if src.wt(b) != dst.wt(t):
-            findings.append(f"weight changes under transport at {src.key(b)}")
-        for i in range(1, n + 1):
-            if src.eps(i, b) != dst.eps(i, t) or src.phi(i, b) != dst.phi(i, t):
-                findings.append(f"statistics change under transport at {src.key(b)}, index {i}")
-    dst_edge_set = set(dst_edges)
-    for s, d, i in src_edges:
-        if d not in images:
-            continue  # edge leaves the depth window
-        if (images[s], images[d], i) not in dst_edge_set:
-            findings.append(f"edge ({src.key(s)} -{i}-> {src.key(d)}) has no transported counterpart")
-    return findings
+    elements, _, _ = src.enumerate_to_depth(depth, cap)
+    return check_strict_morphism(lambda b: src.transport(b, dst), elements, src, dst)

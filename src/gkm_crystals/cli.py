@@ -12,7 +12,10 @@ identical inputs.
 reversed period, or over the period rotated by one position when the
 period is a palindrome.  For rank 2 and up that is always a different
 index sequence; rank 1 has only one index sequence, so there the check
-compares the crystal with itself.
+compares the crystal with itself.  The check is `check_strict_morphism`
+of transport, and the target is not enumerated: wt is preserved and the
+head is the only element of weight 0, so injectivity and f_i commutation
+make transport a bijection onto the target's window, by induction on depth.
 """
 
 from __future__ import annotations

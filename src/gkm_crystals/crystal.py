@@ -11,6 +11,7 @@ sets and dicts by the elements and compare them with ==.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -135,18 +136,19 @@ def check_strict_morphism(psi, elements, source: Crystal, target: Crystal) -> li
 
     Strictness: psi preserves wt, eps_i and phi_i, commutes with every e_i
     and f_i (with psi(None) read as None), and is injective on the set.
-    Violations are returned, not raised.
+    psi is evaluated once per element, in the set or an e_i/f_i image of
+    one (elements are pure values).  Violations are returned, not raised.
     """
     datum = source.datum
-    elems = list(elements)
     violations: list[Violation] = []
     preimages: dict = {}
+    image = functools.cache(psi)
 
     def report(b, i, rule, detail):
         violations.append(Violation(source.key(b), i, rule, detail))
 
-    for b in elems:
-        pb = psi(b)
+    for b in elements:
+        pb = image(b)
         if pb is None:
             report(b, None, "injective", "psi maps an element to zero")
             continue
@@ -168,7 +170,7 @@ def check_strict_morphism(psi, elements, source: Crystal, target: Crystal) -> li
                         report(b, i, opname, f"{opname}_i vanishes in the source but not on the image")
                 elif tb is None:
                     report(b, i, opname, f"{opname}_i vanishes on the image but not in the source")
-                elif psi(sb) != tb:
+                elif image(sb) != tb:
                     report(b, i, opname, f"psi({opname}_i b) != {opname}_i psi(b)")
     return violations
 

@@ -38,10 +38,9 @@ class ElementaryCrystal(Crystal):
     def element(self, level: int) -> ElementaryElement:
         return ElementaryElement(self.index, level)
 
-    def _own(self, b: ElementaryElement) -> bool:
+    def _own(self, b: ElementaryElement) -> None:
         if b.index != self.index:
             raise InputError(f"element of index {b.index} fed to the index-{self.index} crystal")
-        return True
 
     def wt(self, b: ElementaryElement) -> Weight:
         self._own(b)

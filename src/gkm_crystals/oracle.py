@@ -149,7 +149,8 @@ def _word_weight(word: Word, n: int) -> Weight:
     return tuple(alpha)
 
 
-def build_relations(datum: BorcherdsCartanDatum, max_height: int = DEFAULT_HEIGHT_BOUND) -> list[Relation]:
+@functools.cache
+def build_relations(datum: BorcherdsCartanDatum, max_height: int = DEFAULT_HEIGHT_BOUND) -> tuple[Relation, ...]:
     """Defining relations of the lowering half, up to height `max_height`.
 
     Quantum Serre relations for every real index and every other index,
@@ -158,7 +159,8 @@ def build_relations(datum: BorcherdsCartanDatum, max_height: int = DEFAULT_HEIGH
     it is emitted only once: from the smaller real index, or as a
     commutator when both indices are imaginary.  Relations longer than
     `max_height` are not built: they span no row at a weight of height
-    `max_height` or less.
+    `max_height` or less.  Cached per (datum, height): `graded_dim` asks
+    at every weight, and no caller changes a Relation or a Laurent.
     """
     n = datum.index_count
     out: list[Relation] = []
@@ -181,7 +183,7 @@ def build_relations(datum: BorcherdsCartanDatum, max_height: int = DEFAULT_HEIGH
         if datum.a(i, j) == 0:
             terms = ((Laurent.one(), (i, j)), (-Laurent.one(), (j, i)))
             out.append(Relation(terms, _word_weight((i, j), n)))
-    return out
+    return tuple(out)
 
 
 def words_of_weight(alpha: Weight) -> list[Word]:

@@ -59,9 +59,6 @@ class TensorCrystal(Crystal):
         self.right = right
         self.gap_events: dict[tuple[str, int], None] = {}
 
-    def pair(self, left, right) -> TensorElement:
-        return TensorElement(left, right)
-
     def wt(self, b: TensorElement) -> Weight:
         return add_weights(self.left.wt(b.left), self.right.wt(b.right))
 

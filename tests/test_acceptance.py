@@ -28,7 +28,7 @@ from gkm_crystals.geometry import (
     verify_flag,
 )
 from gkm_crystals.oracle import graded_dim
-from gkm_crystals.tensor import TensorCrystal
+from gkm_crystals.tensor import TensorCrystal, TensorElement
 
 CROSS_CHECK_MATRICES = [
     [[2]],
@@ -157,7 +157,7 @@ def test_criterion_6_axiom_suite():
     for matrix in ([[2, -1], [-1, 2]], [[2, -1], [-1, -2]], [[-2, -1], [-1, 2]], [[-2, -1], [-1, -2]]):
         datum = validate_datum(matrix)
         pair = TensorCrystal(ElementaryCrystal(datum, 1), ElementaryCrystal(datum, 2))
-        elems = [pair.pair(pair.left.element(a), pair.right.element(b))
+        elems = [TensorElement(pair.left.element(a), pair.right.element(b))
                  for a in range(7) for b in range(7)]
         problems += [f"B_1 (x) B_2 over {matrix}: {v}" for v in verify_axioms(pair, elems)]
     for matrix in CROSS_CHECK_MATRICES:

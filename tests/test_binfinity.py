@@ -207,6 +207,62 @@ def test_transport_between_iotas():
         assert dst.transport(src.transport(b, dst), src) == b
 
 
+def m3_transport_window():
+    """M3 over the period (1, 2, 3), its realization over (3, 2, 1), and the elements of height <= 3."""
+    src = BInfinityCrystal(M3, IotaSequence((1, 2, 3)))
+    elements, _, _ = src.enumerate_to_depth(3)
+    return src, src.realization_with(IotaSequence((3, 2, 1))), elements
+
+
+def first_raisable_image(src, dst, elements, i):
+    """The transport image of the first element on which e_i acts."""
+    return src.transport(next(b for b in elements if src.e(i, b) is not None), dst)
+
+
+def test_iota_check_reports_a_target_e_vanishing_at_an_imaginary_index(monkeypatch):
+    # Index 2 of M3 is imaginary, so no eps tripwire raises along e_2 in the target.
+    src, dst, elements = m3_transport_window()
+    t = first_raisable_image(src, dst, elements, 2)
+    e = dst.e
+    monkeypatch.setattr(dst, "e", lambda i, b: None if (i, b) == (2, t) else e(i, b))
+    problems = transport_isomorphism_findings(src, dst, 3)
+    assert [(v.index, v.rule, v.detail) for v in problems] == [
+        (2, "e", "e_i vanishes on the image but not in the source")]
+
+
+def test_iota_check_reports_a_target_eps_off_by_one(monkeypatch):
+    src, dst, elements = m3_transport_window()
+    t = src.transport(elements[5], dst)
+    eps = dst.eps
+    monkeypatch.setattr(dst, "eps", lambda i, b: eps(i, b) + (i == 1 and b == t))
+    problems = transport_isomorphism_findings(src, dst, 3)
+    assert [(v.element, v.index, v.rule) for v in problems] == [(src.key(elements[5]), 1, "eps")]
+
+
+def test_iota_check_reports_swapped_images_of_one_weight(monkeypatch):
+    src, dst, elements = m3_transport_window()
+    b1, b2 = next((x, y) for k, x in enumerate(elements) for y in elements[k + 1:] if src.wt(x) == src.wt(y))
+    swap, transport = {b1: b2, b2: b1}, src.transport
+    monkeypatch.setattr(src, "transport", lambda b, target: transport(swap.get(b, b), target))
+    problems = transport_isomorphism_findings(src, dst, 3)
+    assert problems
+    assert {v.rule for v in problems} <= {"e", "f", "eps", "phi"}
+    assert {v.element for v in problems} & {src.key(b1), src.key(b2)}
+
+
+def test_verify_fails_iota_independence_on_a_planted_fault(monkeypatch, tmp_path, capsys):
+    src, dst, elements = m3_transport_window()
+    t = first_raisable_image(src, dst, elements, 2)
+    plant_e(monkeypatch, lambda e, self, i, b: None if (i, b) == (2, t) else e(self, i, b))
+    path = tmp_path / "m3.json"
+    path.write_text('{"matrix": [[2, -1, 0], [-1, 0, -1], [0, -1, 2]]}')
+    assert cli.main(["verify", "--cartan", str(path), "--depth", "3", "--iota", "1,2,3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    failed = [line for line in out if not line.startswith(" ") and not line.endswith(": ok")]
+    assert failed == ["iota independence (transport is a graph isomorphism): FAIL"]
+    assert "e_i vanishes on the image but not in the source" in out[-1]
+
+
 def test_transport_rejects_foreign_datum():
     src = BInfinityCrystal(EXB)
     other = BInfinityCrystal(A2)

@@ -166,6 +166,16 @@ def test_dims_large_entry_builds_only_short_relations(tmp_path, capsys, monkeypa
     assert all(line.endswith("\tok") for line in out[1:])
 
 
+def test_dims_builds_relations_once_per_height(tmp_path, capsys):
+    # 35 weights of height <= 3, but only the heights 0..3 need relations of their own.
+    path = tmp_path / "rank4.json"
+    path.write_text('{"matrix": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 0, -1], [0, 0, -1, 2]]}')
+    oracle.build_relations.cache_clear()
+    assert cli.main(["dims", "--cartan", str(path), "--height", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 36
+    assert oracle.build_relations.cache_info().misses <= 4
+
+
 def test_geom_large_entry_finds_flag(tmp_path, capsys):
     # The weak loop's characteristic polynomial has a constant term near 10**60.
     rep = {"quiver": {"vertices": 1, "omega_arrows": [[1, 1]]}, "dims": [2],

@@ -254,7 +254,7 @@ def test_export_json_encodes_neg_inf():
 
 def _graph_case(name):
     from gkm_crystals.binfinity import BInfinityCrystal
-    from gkm_crystals.tensor import TensorCrystal
+    from gkm_crystals.tensor import TensorCrystal, TensorElement
 
     if name == "m3-depth-4":
         c = BInfinityCrystal(validate_datum([[2, -1, 0], [-1, 0, -1], [0, -1, 2]]))
@@ -267,7 +267,7 @@ def _graph_case(name):
         return generate_graph(c, c.element(0), 3)
     b = BInfinityCrystal(validate_datum([[0, -1], [-1, 2]]))
     c = TensorCrystal(b, ElementaryCrystal(b.datum, 1))
-    return generate_graph(c, c.pair(b.highest_weight(), c.right.element(0)), 3)
+    return generate_graph(c, TensorElement(b.highest_weight(), c.right.element(0)), 3)
 
 
 # Each graph case with a feature its json text must show: nested arrays, an

@@ -114,12 +114,12 @@ def test_relations_are_distinct_by_construction():
 
 def test_relations_stop_at_max_height():
     d = validate_datum([[2, -3, 0], [-3, 2, 0], [0, 0, 0]])
-    assert build_relations(d, 1) == []
+    assert build_relations(d, 1) == ()
     assert [r.weight for r in build_relations(d, 2)] == [(1, 0, 1), (0, 1, 1)]
     assert [r.weight for r in build_relations(d, 5)] == [(4, 1, 0), (1, 0, 1), (1, 4, 0), (0, 1, 1)]
     assert build_relations(d, 5) == build_relations(d)
     orthogonal = validate_datum([[0, 0], [0, -2]])
-    assert build_relations(orthogonal, 1) == []
+    assert build_relations(orthogonal, 1) == ()
     assert [r.weight for r in build_relations(orthogonal, 2)] == [(1, 1)]
 
 

@@ -23,7 +23,7 @@ def test_datum_mismatch_rejected():
 
 def test_statistics_max_formulas():
     c = pair_crystal(REAL, 1, 1)
-    b = c.pair(c.left.element(1), c.right.element(2))
+    b = TensorElement(c.left.element(1), c.right.element(2))
     # eps = max(1, 2 - <h, -alpha>) = max(1, 4); phi = max(-1 + (-4), -2)
     assert c.wt(b) == (-3,)
     assert c.eps(1, b) == 4
@@ -33,7 +33,7 @@ def test_statistics_max_formulas():
 
 def test_foreign_index_stays_frozen():
     c = pair_crystal(EXB, 1, 1)
-    b = c.pair(c.left.element(1), c.right.element(1))
+    b = TensorElement(c.left.element(1), c.right.element(1))
     assert c.eps(2, b) == NEG_INF and c.phi(2, b) == NEG_INF
     assert c.f(2, b) is None and c.e(2, b) is None
 
@@ -41,7 +41,7 @@ def test_foreign_index_stays_frozen():
 def test_lowering_routes_by_phi_left():
     c = pair_crystal(REAL, 1, 1)
     # phi_L = 0 at level 0 is not greater than eps_R = 0: act right
-    b = c.pair(c.left.element(0), c.right.element(0))
+    b = TensorElement(c.left.element(0), c.right.element(0))
     fb = c.f(1, b)
     assert fb == TensorElement(c.left.element(0), c.right.element(1))
     # now eps_R = 1 > phi_L = 0 still routes right; raise acts right too
@@ -51,14 +51,14 @@ def test_lowering_routes_by_phi_left():
 
 def test_lowering_routes_left_when_phi_dominates():
     c = pair_crystal(IMAG2, 1, 1)
-    b = c.pair(c.left.element(1), c.right.element(0))
+    b = TensorElement(c.left.element(1), c.right.element(0))
     # phi_L = 2 > eps_R = 0
     assert c.f(1, b) == TensorElement(c.left.element(2), c.right.element(0))
 
 
 def test_real_raising_boundary_prefers_left():
     c = pair_crystal(REAL, 1, 1)
-    b = c.pair(c.left.element(1), c.right.element(1))
+    b = TensorElement(c.left.element(1), c.right.element(1))
     # phi_L = -1, eps_R = 1: right; after lowering right twice from (0,0),
     # raising must unwind from the right factor first
     assert c.e(1, b).left.level == 1 and c.e(1, b).right.level == 0
@@ -66,7 +66,7 @@ def test_real_raising_boundary_prefers_left():
 
 def test_real_raising_annihilates_at_bottom():
     c = pair_crystal(REAL, 1, 1)
-    b = c.pair(c.left.element(1), c.right.element(0))
+    b = TensorElement(c.left.element(1), c.right.element(0))
     # phi_L = -1 < eps_R = 0 routes right, and the right factor is already
     # at level 0, so raising annihilates the pair
     assert c.e(1, b) is None
@@ -74,21 +74,21 @@ def test_real_raising_annihilates_at_bottom():
 
 def test_imaginary_gap_annihilates_and_logs():
     c = pair_crystal(IMAG2, 1, 1)
-    b = c.pair(c.left.element(1), c.right.element(0))
+    b = TensorElement(c.left.element(1), c.right.element(0))
     # eps_R = 0 < phi_L = 2 <= eps_R - a_ii = 2: the gap case
     assert c.e(1, b) is None
     assert list(c.gap_events) == [(c.key(b), 1)]
     # one more lowering on the left leaves the gap: 4 > 2 routes left
-    b2 = c.pair(c.left.element(2), c.right.element(0))
+    b2 = TensorElement(c.left.element(2), c.right.element(0))
     assert c.e(1, b2) == b
     assert len(c.gap_events) == 1
 
 
 def test_imaginary_raising_right_when_small():
     c = pair_crystal(IMAG2, 1, 1)
-    b = c.pair(c.left.element(0), c.right.element(1))
+    b = TensorElement(c.left.element(0), c.right.element(1))
     # phi_L = 0 <= eps_R = 0: act right
-    assert c.e(1, b) == c.pair(c.left.element(0), c.right.element(0))
+    assert c.e(1, b) == TensorElement(c.left.element(0), c.right.element(0))
 
 
 def test_round_trip_on_truncation():
@@ -97,7 +97,7 @@ def test_round_trip_on_truncation():
         n = datum.index_count
         for a in range(4):
             for b in range(4):
-                x = c.pair(c.left.element(a), c.right.element(b))
+                x = TensorElement(c.left.element(a), c.right.element(b))
                 for k in range(1, n + 1):
                     down = c.f(k, x)
                     if down is not None:
@@ -110,7 +110,7 @@ def test_round_trip_on_truncation():
 @pytest.mark.parametrize("i,j", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_axioms_on_pairs(i, j):
     c = pair_crystal(EXB, i, j)
-    elems = [c.pair(c.left.element(a), c.right.element(b)) for a in range(5) for b in range(5)]
+    elems = [TensorElement(c.left.element(a), c.right.element(b)) for a in range(5) for b in range(5)]
     assert verify_axioms(c, elems) == []
 
 
