@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import BorcherdsCartanDatum, Weight
-from .crystal import DEFAULT_NODE_CAP, NEG_INF, Crystal, Violation, check_strict_morphism, reachable
+from .crystal import NEG_INF, Crystal, Violation, check_strict_morphism, reachable
 from .elementary import ElementaryCrystal, ElementaryElement
 from .errors import InputError, InternalInconsistencyError, StrippingStuckError
 from .tensor import TensorCrystal, TensorElement, route
@@ -350,14 +350,14 @@ class BInfinityCrystal(Crystal):
 
         return psi, target
 
-    def enumerate_to_depth(self, depth: int, cap: int = DEFAULT_NODE_CAP):
+    def enumerate_to_depth(self, depth: int):
         """Reachable elements, edges and layer sizes below the highest weight."""
-        return reachable(self, self.highest_weight(), depth, cap)
+        return reachable(self, self.highest_weight(), depth)
 
 
-def graded_counts(crystal: BInfinityCrystal, depth: int, cap: int = DEFAULT_NODE_CAP) -> dict[Weight, int]:
+def graded_counts(crystal: BInfinityCrystal, depth: int) -> dict[Weight, int]:
     """Number of crystal elements at each weight -alpha, keyed by alpha, ht(alpha) <= depth."""
-    elements, _, _ = crystal.enumerate_to_depth(depth, cap)
+    elements, _, _ = crystal.enumerate_to_depth(depth)
     counts: dict[Weight, int] = {}
     for b in elements:
         alpha = tuple(-c for c in crystal.wt(b))
@@ -365,15 +365,13 @@ def graded_counts(crystal: BInfinityCrystal, depth: int, cap: int = DEFAULT_NODE
     return counts
 
 
-def transport_isomorphism_findings(src: BInfinityCrystal, dst: BInfinityCrystal,
-                                   depth: int, cap: int = DEFAULT_NODE_CAP) -> list[Violation]:
-    """`check_strict_morphism` of transport on the elements of `src` within `depth`.
+def transport_isomorphism_findings(src: BInfinityCrystal, dst: BInfinityCrystal, elements) -> list[Violation]:
+    """`check_strict_morphism` of transport on `elements`, the window of `src` within some depth.
 
     `dst` is not enumerated: wt is preserved and the empty string is the
     only canonical string of weight 0, so the head goes to the head, and
     injectivity and f_i commutation then make transport a bijection onto
-    the elements of `dst` within `depth`, by induction on depth.  The check
-    also compares e_i and the f_i that leave the window.
+    the elements of `dst` within that depth, by induction on depth.  The
+    check also compares e_i and the f_i that leave the window.
     """
-    elements, _, _ = src.enumerate_to_depth(depth, cap)
     return check_strict_morphism(lambda b: src.transport(b, dst), elements, src, dst)

@@ -13,15 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import (
-    BadDiagonalError,
-    DimensionExceededError,
-    IndexOutOfRangeError,
-    InputError,
-    LengthMismatchError,
-    NotSymmetricError,
-    PositiveOffDiagonalError,
-)
+from .errors import InputError
 
 Weight = tuple[int, ...]
 
@@ -31,13 +23,13 @@ MAX_RANK = 16  # largest index (vertex) count accepted; verify's cost grows stee
 def simple_root(n: int, i: int) -> Weight:
     """Coordinate vector of alpha_i (1-based index)."""
     if not 1 <= i <= n:
-        raise IndexOutOfRangeError(f"index {i} not in 1..{n}")
+        raise InputError(f"index {i} not in 1..{n}")
     return tuple(1 if k == i - 1 else 0 for k in range(n))
 
 
 def add_weights(u: Weight, v: Weight) -> Weight:
     if len(u) != len(v):
-        raise LengthMismatchError(f"weight lengths {len(u)} and {len(v)} differ")
+        raise InputError(f"weight lengths {len(u)} and {len(v)} differ")
     return tuple(a + b for a, b in zip(u, v))
 
 
@@ -59,7 +51,7 @@ class BorcherdsCartanDatum:
 
     def check_index(self, i: int) -> None:
         if not 1 <= i <= self.index_count:
-            raise IndexOutOfRangeError(f"index {i} not in 1..{self.index_count}")
+            raise InputError(f"index {i} not in 1..{self.index_count}")
 
     def a(self, i: int, j: int) -> int:
         self.check_index(i)
@@ -74,34 +66,34 @@ class BorcherdsCartanDatum:
 def validate_datum(matrix) -> BorcherdsCartanDatum:
     """Validate a raw square matrix and classify its indices.
 
-    Raises DimensionExceededError above MAX_RANK indices, then
-    NotSymmetricError, BadDiagonalError or PositiveOffDiagonalError on the
-    first violated condition.
+    Raises InputError on the first violated condition, checked in this
+    order: at most MAX_RANK indices, a square matrix of integers, symmetry,
+    even diagonal entries at most 2, nonpositive off-diagonal entries.
     """
     rows = [tuple(row) for row in matrix]
     n = len(rows)
     if n == 0:
         raise InputError("empty matrix")
     if n > MAX_RANK:
-        raise DimensionExceededError(f"rank {n} exceeds the bound {MAX_RANK}")
+        raise InputError(f"rank {n} exceeds the bound {MAX_RANK}")
     for row in rows:
         if len(row) != n:
-            raise NotSymmetricError("matrix is not square")
+            raise InputError("matrix is not square")
         for entry in row:
             if not isinstance(entry, int) or isinstance(entry, bool):
                 raise InputError(f"matrix entry {entry!r} is not an integer")
     for i in range(n):
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
-                raise NotSymmetricError(f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ")
+                raise InputError(f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ")
     for i in range(n):
         d = rows[i][i]
         if d > 2 or d % 2 != 0:
-            raise BadDiagonalError(f"diagonal entry a_{i + 1}{i + 1} = {d} is not in {{2, 0, -2, -4, ...}}")
+            raise InputError(f"diagonal entry a_{i + 1}{i + 1} = {d} is not in {{2, 0, -2, -4, ...}}")
     for i in range(n):
         for j in range(n):
             if i != j and rows[i][j] > 0:
-                raise PositiveOffDiagonalError(f"off-diagonal entry a_{i + 1}{j + 1} = {rows[i][j]} is positive")
+                raise InputError(f"off-diagonal entry a_{i + 1}{j + 1} = {rows[i][j]} is positive")
     real = frozenset(i + 1 for i in range(n) if rows[i][i] == 2)
     imaginary = frozenset(i + 1 for i in range(n) if rows[i][i] != 2)
     return BorcherdsCartanDatum(tuple(rows), real, imaginary)
@@ -111,7 +103,7 @@ def pairing(datum: BorcherdsCartanDatum, i: int, w: Weight) -> int:
     """<h_i, w> for w in root-lattice coordinates: sum_j w_j * a_ij."""
     datum.check_index(i)
     if len(w) != datum.index_count:
-        raise LengthMismatchError(f"weight length {len(w)} != rank {datum.index_count}")
+        raise InputError(f"weight length {len(w)} != rank {datum.index_count}")
     row = datum.matrix[i - 1]
     return sum(c * a for c, a in zip(w, row))
 
@@ -143,7 +135,7 @@ class Quiver:
         for pair in self.omega:
             for v in pair:
                 if not 1 <= v <= self.vertex_count:
-                    raise IndexOutOfRangeError(f"vertex {v} not in 1..{self.vertex_count}")
+                    raise InputError(f"vertex {v} not in 1..{self.vertex_count}")
         arrows = [Arrow(s, t, True) for s, t in self.omega] + [Arrow(t, s, False) for s, t in self.omega]
         object.__setattr__(self, "arrows", tuple(arrows))
 
@@ -201,7 +193,7 @@ def load_quiver(source) -> Quiver:
     if not isinstance(vertices, int) or isinstance(vertices, bool) or vertices < 1:
         raise InputError('"vertices" must be a positive integer')
     if vertices > MAX_RANK:
-        raise DimensionExceededError(f"{vertices} vertices exceed the bound {MAX_RANK}")
+        raise InputError(f"{vertices} vertices exceed the bound {MAX_RANK}")
     pairs = data["omega_arrows"]
     if not isinstance(pairs, list):
         raise InputError('"omega_arrows" must be a list')

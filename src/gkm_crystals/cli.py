@@ -1,21 +1,23 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a mathematical finding (mismatch or failed
-verification), 2 invalid input, 3 an enumeration cap was exceeded,
-4 an internal error (a tripwire such as InternalInconsistencyError fired).
+verification), 2 invalid input, 3 more than crystal.NODE_CAP (10000)
+elements enumerated, 4 an internal error (a tripwire such as
+InternalInconsistencyError fired, inside a `verify` check too).
 Reports go to stdout, and only once they are complete: a run that ends
 with exit code 2, 3 or 4 writes nothing there.  Diagnostics go to stderr,
 one line for exit codes 2-4.  Outputs are deterministic byte for byte for
 identical inputs.
 
-`verify` checks iota independence against the realization over the
-reversed period, or over the period rotated by one position when the
-period is a palindrome.  For rank 2 and up that is always a different
-index sequence; rank 1 has only one index sequence, so there the check
-compares the crystal with itself.  The check is `check_strict_morphism`
-of transport, and the target is not enumerated: wt is preserved and the
-head is the only element of weight 0, so injectivity and f_i commutation
-make transport a bijection onto the target's window, by induction on depth.
+`verify` enumerates its window once, and every check reads it.  It checks
+iota independence against the realization over the reversed period, or
+over the period rotated by one position when the period is a palindrome.
+For rank 2 and up that is always a different index sequence; rank 1 has
+only one index sequence, so there the check compares the crystal with
+itself.  The check is `check_strict_morphism` of transport on the window,
+and the target is not enumerated: wt is preserved and the head is the
+only element of weight 0, so injectivity and f_i commutation make
+transport a bijection onto the target's window, by induction on depth.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .cartan import (
     quiver_to_cartan,
     weight_height,
 )
-from .crystal import DEFAULT_NODE_CAP, check_strict_morphism, export_graph, generate_graph, verify_axioms
+from .crystal import check_strict_morphism, export_graph, generate_graph, verify_axioms
 from .errors import DepthExceededError, GkmError, InputError
 from .geometry import (
     DEFAULT_FLAG_DIM_BOUND,
@@ -90,12 +92,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cartan", help="path to a JSON Borcherds-Cartan matrix")
     parser.add_argument("--quiver", help="path to a JSON quiver (Omega arrows)")
     parser.add_argument("--iota", default="cyclic", help='index sequence: "cyclic" or a comma list, e.g. "1,2,1"')
-    parser.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP, help="node cap for enumeration")
 
 
 def cmd_graph(args) -> tuple[int, str]:
     crystal = _load_crystal(args)
-    graph = generate_graph(crystal, crystal.highest_weight(), args.depth, args.cap)
+    graph = generate_graph(crystal, crystal.highest_weight(), args.depth)
     return EXIT_OK, export_graph(graph, args.format)
 
 
@@ -103,7 +104,7 @@ def cmd_dims(args) -> tuple[int, str]:
     crystal = _load_crystal(args)
     if args.height > DEFAULT_HEIGHT_BOUND:
         raise InputError(f"--height {args.height} exceeds the oracle bound {DEFAULT_HEIGHT_BOUND}")
-    counts = graded_counts(crystal, args.height, args.cap)
+    counts = graded_counts(crystal, args.height)
     weights = _positive_weights(crystal.datum.index_count, args.height)
     mismatches = 0
     out = ["weight\tcrystal\toracle\tmatch\n"]
@@ -131,7 +132,7 @@ def cmd_verify(args) -> tuple[int, str]:
     datum = crystal.datum
     findings: list[str] = []
     out: list[str] = []
-    elements, _, _ = crystal.enumerate_to_depth(args.depth, args.cap)
+    elements, _, _ = crystal.enumerate_to_depth(args.depth)
 
     def check(name: str, problems) -> None:
         problems = list(problems)
@@ -142,12 +143,8 @@ def cmd_verify(args) -> tuple[int, str]:
 
     check("crystal axioms on enumerated nodes", verify_axioms(crystal, elements))
     for i in range(1, datum.index_count + 1):
-        try:
-            psi, target = crystal.psi_morphism(i)
-            problems = check_strict_morphism(psi, elements, crystal, target)
-        except GkmError as exc:
-            problems = [f"embedding at index {i} failed to evaluate: {exc}"]
-        check(f"strict embedding through index {i}", problems)
+        psi, target = crystal.psi_morphism(i)
+        check(f"strict embedding through index {i}", check_strict_morphism(psi, elements, crystal, target))
     bad_weights = [crystal.key(b) for b in elements if any(c > 0 for c in crystal.wt(b))]
     check("weights lie in the negative cone", bad_weights)
     zero_wt = [crystal.key(b) for b in elements if not any(crystal.wt(b))]
@@ -162,7 +159,7 @@ def cmd_verify(args) -> tuple[int, str]:
     alt = crystal.realization_with(reverse if reverse != crystal.iota else crystal.iota.shifted())
     check(
         "iota independence (transport is a graph isomorphism)",
-        transport_isomorphism_findings(crystal, alt, args.depth, args.cap),
+        transport_isomorphism_findings(crystal, alt, elements),
     )
     return EXIT_FINDING if findings else EXIT_OK, "".join(out)
 
@@ -234,7 +231,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for name in ("depth", "cap", "height"):
+        for name in ("depth", "height"):
             if getattr(args, name, 0) < 0:
                 raise InputError(f"--{name} must be nonnegative, got {getattr(args, name)}")
         code, report = args.func(args)

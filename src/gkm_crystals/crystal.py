@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 
 from .cartan import BorcherdsCartanDatum, Weight, add_weights, pairing, simple_root
-from .errors import DepthExceededError, EvaluationFailureError, UnknownFormatError
+from .errors import DepthExceededError, EvaluationFailureError, InputError
 
 # Extended integer: a plain int, or NEG_INF.  NEG_INF absorbs addition and
 # compares below every int, which is exactly the arithmetic the tensor rule
@@ -24,7 +24,7 @@ from .errors import DepthExceededError, EvaluationFailureError, UnknownFormatErr
 NEG_INF = float("-inf")
 
 # Enumeration stops with DepthExceededError past this many elements.
-DEFAULT_NODE_CAP = 10000
+NODE_CAP = 10000
 
 
 class Crystal:
@@ -190,14 +190,14 @@ class CrystalGraph:
     root: str
 
 
-def reachable(crystal: Crystal, root, depth: int, cap: int = DEFAULT_NODE_CAP):
+def reachable(crystal: Crystal, root, depth: int):
     """Breadth-first closure of `root` under the lowering operators.
 
     Returns (elements, edges, layer_sizes), with edges as (source element,
     target element, index) triples.  Ordering is deterministic:
     layer by layer, parents in discovery order, indices ascending; an
     element is listed once, at first discovery.  Raises DepthExceededError
-    when more than `cap` elements appear.
+    when more than NODE_CAP elements appear.
     """
     n = crystal.datum.index_count
     elements = [root]
@@ -216,8 +216,8 @@ def reachable(crystal: Crystal, root, depth: int, cap: int = DEFAULT_NODE_CAP):
                     seen.add(c)
                     nxt.append(c)
                     elements.append(c)
-                    if len(elements) > cap:
-                        raise DepthExceededError(f"more than {cap} nodes generated")
+                    if len(elements) > NODE_CAP:
+                        raise DepthExceededError(f"more than {NODE_CAP} nodes generated")
                 edges.append((b, c, i))
         if not nxt:
             break
@@ -226,12 +226,12 @@ def reachable(crystal: Crystal, root, depth: int, cap: int = DEFAULT_NODE_CAP):
     return elements, edges, layer_sizes
 
 
-def generate_graph(crystal: Crystal, root, depth: int, cap: int = DEFAULT_NODE_CAP) -> CrystalGraph:
+def generate_graph(crystal: Crystal, root, depth: int) -> CrystalGraph:
     """Crystal graph of everything reachable from `root` within `depth` lowerings.
 
     The one place where enumerated elements become key strings.
     """
-    elements, edges, _ = reachable(crystal, root, depth, cap)
+    elements, edges, _ = reachable(crystal, root, depth)
     n = crystal.datum.index_count
     keys = {b: crystal.key(b) for b in elements}
     nodes = tuple(
@@ -285,4 +285,4 @@ def export_graph(graph: CrystalGraph, fmt: str) -> str:
         edges = (f'{{\n      "src": {q(s)},\n      "dst": {q(d)},\n      "i": {i}\n    }}' for s, d, i in graph.edges)
         return "".join(['{\n  "nodes": ', *_json_array(nodes, 2), ',\n  "edges": ', *_json_array(edges, 2),
                         f',\n  "root": {q(graph.root)}\n}}\n'])
-    raise UnknownFormatError(f"unknown export format {fmt!r}")
+    raise InputError(f"unknown export format {fmt!r}")

@@ -1,10 +1,11 @@
 """Exception hierarchy shared across the package.
 
-InputError subclasses signal malformed user input (CLI exit code 2); they
-are also ValueErrors.  DepthExceededError signals a blown enumeration cap
-(CLI exit code 3).  The remaining classes are correctness tripwires or
-evaluation failures (CLI exit code 4); they indicate bugs or ill-formed
-data fed past validation and are never silenced by library code.
+InputError signals malformed user input (CLI exit code 2); it is also a
+ValueError, and its message names the fault.  DepthExceededError signals
+an enumeration past crystal.NODE_CAP elements (CLI exit code 3).  The
+remaining classes are correctness tripwires or evaluation failures (CLI
+exit code 4); they indicate bugs or ill-formed data fed past validation
+and are never silenced by library code.
 """
 
 from __future__ import annotations
@@ -18,48 +19,8 @@ class InputError(GkmError, ValueError):
     """Malformed input data (matrices, quivers, files, flags)."""
 
 
-class NotSymmetricError(InputError):
-    pass
-
-
-class BadDiagonalError(InputError):
-    pass
-
-
-class PositiveOffDiagonalError(InputError):
-    pass
-
-
-class IndexOutOfRangeError(InputError):
-    pass
-
-
-class LengthMismatchError(InputError):
-    pass
-
-
-class NegativeCoordinateError(InputError):
-    pass
-
-
-class ShapeMismatchError(InputError):
-    pass
-
-
-class UnknownFormatError(InputError):
-    pass
-
-
-class HeightExceededError(InputError):
-    pass
-
-
-class DimensionExceededError(InputError):
-    pass
-
-
 class DepthExceededError(GkmError):
-    """Enumeration produced more nodes than the configured cap."""
+    """Enumeration produced more than crystal.NODE_CAP elements."""
 
 
 class EvaluationFailureError(GkmError):

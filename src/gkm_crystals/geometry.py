@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .cartan import Quiver, _loaded_dict, load_quiver
-from .errors import (
-    DimensionExceededError,
-    InputError,
-    InternalInconsistencyError,
-    ShapeMismatchError,
-)
+from .errors import InputError, InternalInconsistencyError
 from .exactlin import EchelonBasis, RatMat, Vec, charpoly, is_squarefree, nullspace, rational_roots
 
 DEFAULT_FLAG_DIM_BOUND = 6
@@ -42,16 +37,16 @@ class QuiverRep:
 
     def __post_init__(self) -> None:
         if len(self.dims) != self.quiver.vertex_count:
-            raise ShapeMismatchError("dimension vector length does not match the vertex count")
+            raise InputError("dimension vector length does not match the vertex count")
         if any(d < 0 for d in self.dims):
-            raise ShapeMismatchError("negative dimension")
+            raise InputError("negative dimension")
         if len(self.mats) != len(self.quiver.arrows):
-            raise ShapeMismatchError("matrix count does not match the arrow count")
+            raise InputError("matrix count does not match the arrow count")
         for k, arrow in enumerate(self.quiver.arrows):
             want = (self.dims[arrow.target - 1], self.dims[arrow.source - 1])
             got = (self.mats[k].nrows, self.mats[k].ncols)
             if want != got:
-                raise ShapeMismatchError(f"matrix h{k} has shape {got}, expected {want}")
+                raise InputError(f"matrix h{k} has shape {got}, expected {want}")
 
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -99,7 +94,7 @@ def load_rep(source) -> QuiverRep:
         nrows = dims[arrow.target - 1] if arrow.target - 1 < len(dims) else -1
         ncols = dims[arrow.source - 1] if arrow.source - 1 < len(dims) else -1
         if len(parsed) != nrows or any(len(r) != ncols for r in parsed):
-            raise ShapeMismatchError(f'matrix "{key}" does not have shape {nrows} x {ncols}')
+            raise InputError(f'matrix "{key}" does not have shape {nrows} x {ncols}')
         mats.append(RatMat.from_rows(parsed, nrows=nrows, ncols=ncols))
     extra = sorted(set(raw_mats) - {f"h{k}" for k in range(len(quiver.arrows))})
     if extra:
@@ -300,7 +295,7 @@ def flag_exists(rep: QuiverRep) -> FlagWitness | None:
     """
     total = rep.total_dim()
     if total > DEFAULT_FLAG_DIM_BOUND:
-        raise DimensionExceededError(f"total dimension {total} exceeds the bound {DEFAULT_FLAG_DIM_BOUND}")
+        raise InputError(f"total dimension {total} exceeds the bound {DEFAULT_FLAG_DIM_BOUND}")
     nv = rep.quiver.vertex_count
     weak = rep.quiver.weak_positions()
     strict = [k for k in range(len(rep.quiver.arrows)) if k not in weak]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cartan import BorcherdsCartanDatum, Weight, weight_height
-from .errors import HeightExceededError, InexactDivisionError, LengthMismatchError, NegativeCoordinateError
+from .errors import InexactDivisionError, InputError
 
 Word = tuple[int, ...]
 
@@ -150,7 +150,7 @@ def _word_weight(word: Word, n: int) -> Weight:
 
 
 @functools.cache
-def build_relations(datum: BorcherdsCartanDatum, max_height: int = DEFAULT_HEIGHT_BOUND) -> tuple[Relation, ...]:
+def build_relations(datum: BorcherdsCartanDatum, max_height: int) -> tuple[Relation, ...]:
     """Defining relations of the lowering half, up to height `max_height`.
 
     Quantum Serre relations for every real index and every other index,
@@ -189,7 +189,7 @@ def build_relations(datum: BorcherdsCartanDatum, max_height: int = DEFAULT_HEIGH
 def words_of_weight(alpha: Weight) -> list[Word]:
     """All words with letter multiplicities alpha, in lexicographic order."""
     if any(c < 0 for c in alpha):
-        raise NegativeCoordinateError(f"weight {alpha} leaves the positive cone")
+        raise InputError(f"weight {alpha} leaves the positive cone")
     remaining = list(alpha)
     out: list[Word] = []
     word: list[int] = []
@@ -270,11 +270,11 @@ def graded_dim(datum: BorcherdsCartanDatum, alpha: Weight) -> int:
     quickly past small heights).
     """
     if len(alpha) != datum.index_count:
-        raise LengthMismatchError(f"weight length {len(alpha)} != rank {datum.index_count}")
+        raise InputError(f"weight length {len(alpha)} != rank {datum.index_count}")
     if any(c < 0 for c in alpha):
-        raise NegativeCoordinateError(f"weight {alpha} leaves the positive cone")
+        raise InputError(f"weight {alpha} leaves the positive cone")
     if weight_height(alpha) > DEFAULT_HEIGHT_BOUND:
-        raise HeightExceededError(f"height {weight_height(alpha)} exceeds the bound {DEFAULT_HEIGHT_BOUND}")
+        raise InputError(f"height {weight_height(alpha)} exceeds the bound {DEFAULT_HEIGHT_BOUND}")
     words = words_of_weight(alpha)
     index = {w: k for k, w in enumerate(words)}
     rows: list[dict[int, Laurent]] = []

@@ -199,9 +199,9 @@ def test_strip_and_replay_is_identity():
 def test_transport_between_iotas():
     src = BInfinityCrystal(EXB, IotaSequence((1, 2)))
     dst = BInfinityCrystal(EXB, IotaSequence((2, 1)))
-    assert transport_isomorphism_findings(src, dst, 3) == []
     # round trip through the other realization is the identity
     elements, _, _ = src.enumerate_to_depth(3)
+    assert transport_isomorphism_findings(src, dst, elements) == []
     for b in elements:
         assert src.transport(dst.transport(src.transport(b, dst), src), dst) == src.transport(b, dst)
         assert dst.transport(src.transport(b, dst), src) == b
@@ -225,7 +225,7 @@ def test_iota_check_reports_a_target_e_vanishing_at_an_imaginary_index(monkeypat
     t = first_raisable_image(src, dst, elements, 2)
     e = dst.e
     monkeypatch.setattr(dst, "e", lambda i, b: None if (i, b) == (2, t) else e(i, b))
-    problems = transport_isomorphism_findings(src, dst, 3)
+    problems = transport_isomorphism_findings(src, dst, elements)
     assert [(v.index, v.rule, v.detail) for v in problems] == [
         (2, "e", "e_i vanishes on the image but not in the source")]
 
@@ -235,7 +235,7 @@ def test_iota_check_reports_a_target_eps_off_by_one(monkeypatch):
     t = src.transport(elements[5], dst)
     eps = dst.eps
     monkeypatch.setattr(dst, "eps", lambda i, b: eps(i, b) + (i == 1 and b == t))
-    problems = transport_isomorphism_findings(src, dst, 3)
+    problems = transport_isomorphism_findings(src, dst, elements)
     assert [(v.element, v.index, v.rule) for v in problems] == [(src.key(elements[5]), 1, "eps")]
 
 
@@ -244,7 +244,7 @@ def test_iota_check_reports_swapped_images_of_one_weight(monkeypatch):
     b1, b2 = next((x, y) for k, x in enumerate(elements) for y in elements[k + 1:] if src.wt(x) == src.wt(y))
     swap, transport = {b1: b2, b2: b1}, src.transport
     monkeypatch.setattr(src, "transport", lambda b, target: transport(swap.get(b, b), target))
-    problems = transport_isomorphism_findings(src, dst, 3)
+    problems = transport_isomorphism_findings(src, dst, elements)
     assert problems
     assert {v.rule for v in problems} <= {"e", "f", "eps", "phi"}
     assert {v.element for v in problems} & {src.key(b1), src.key(b2)}
@@ -325,9 +325,9 @@ def test_gap_events_are_distinct_pairs_in_first_firing_order():
 
 
 def test_enumeration_cap():
-    c = BInfinityCrystal(TWO_IMAG)
-    with pytest.raises(DepthExceededError):
-        c.enumerate_to_depth(6, cap=12)
+    # One element per depth over [[2]]: depth 10000 enumerates 10001.
+    with pytest.raises(DepthExceededError, match="^more than 10000 nodes generated$"):
+        BInfinityCrystal(SL2).enumerate_to_depth(10000)
 
 
 # -- the memoized statistics and their tripwires -------------------------------

@@ -5,13 +5,15 @@ import time
 
 import pytest
 
-from gkm_crystals import cli, geometry, oracle
+from gkm_crystals import binfinity, cli, geometry, oracle
+from gkm_crystals.binfinity import BInfinityCrystal
 from gkm_crystals.cartan import MAX_RANK
 from gkm_crystals.crystal import Violation
 from gkm_crystals.errors import InexactDivisionError, InternalInconsistencyError
 
 EXB = '{"matrix": [[0, -1], [-1, 2]]}'
 TWO_IMAG = '{"matrix": [[0, -1], [-1, 0]]}'
+SL2 = '{"matrix": [[2]]}'
 QUIVER = '{"vertices": 2, "omega_arrows": [[1, 1], [1, 2]]}'
 REP = """
 {"quiver": {"vertices": 2, "omega_arrows": [[1, 1], [1, 2]]},
@@ -26,7 +28,7 @@ REP = """
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for name, text in [("exb.json", EXB), ("two_imag.json", TWO_IMAG),
+    for name, text in [("exb.json", EXB), ("two_imag.json", TWO_IMAG), ("sl2.json", SL2),
                        ("quiver.json", QUIVER), ("rep.json", REP)]:
         p = tmp_path / name
         p.write_text(text)
@@ -123,7 +125,8 @@ def test_geom_report(files, capsys):
 @pytest.mark.parametrize("argv, name", [
     (["dims", "--height", "2", "--oracle-bound", "8", "--cartan"], "exb.json"),
     (["geom", "--flag-bound", "8", "--rep"], "rep.json"),
-], ids=["oracle-bound", "flag-bound"])
+    (["graph", "--depth", "1", "--cap", "10", "--cartan"], "exb.json"),
+], ids=["oracle-bound", "flag-bound", "cap"])
 def test_caps_are_not_options(files, capsys, argv, name):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + [files[name]])
@@ -204,9 +207,12 @@ def test_input_errors_exit_two(files, capsys, tmp_path):
 
 
 def test_cap_exits_three(files, capsys):
-    code = cli.main(["graph", "--cartan", files["two_imag.json"], "--depth", "6", "--cap", "10"])
+    # B(inf) over [[2]] has one element per depth, so depth 10000 enumerates 10001.
+    code = cli.main(["graph", "--cartan", files["sl2.json"], "--depth", "10000"])
     assert code == 3
-    assert "cap exceeded" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cap exceeded: more than 10000 nodes generated\n"
 
 
 def _one_line_input_error(capsys) -> bool:
@@ -263,11 +269,6 @@ def test_negative_depth_rejected(files, capsys):
     assert _one_line_input_error(capsys)
 
 
-def test_negative_cap_rejected(files, capsys):
-    assert cli.main(["graph", "--cartan", files["exb.json"], "--depth", "1", "--cap", "-1"]) == 2
-    assert _one_line_input_error(capsys)
-
-
 def test_negative_height_rejected(files, capsys):
     assert cli.main(["dims", "--cartan", files["exb.json"], "--height", "-1"]) == 2
     assert _one_line_input_error(capsys)
@@ -277,7 +278,7 @@ def test_negative_height_rejected(files, capsys):
 def test_verify_iota_check_uses_another_sequence(files, capsys, monkeypatch, iota, alt_period):
     seen = []
 
-    def spy(src, dst, depth, cap=10000):
+    def spy(src, dst, elements):
         seen.append((src, dst))
         return []
 
@@ -312,6 +313,30 @@ def test_geom_tripwire_exits_four(files, capsys, monkeypatch):
     monkeypatch.setattr(cli, "flag_exists", tripped)
     assert cli.main(["geom", "--rep", files["rep.json"]]) == 4
     assert _one_line_internal_error(capsys)
+
+
+def test_verify_psi_tripwire_exits_four(files, capsys, monkeypatch):
+    # A tripwire inside a strict-embedding check ends the run; it is not a finding.
+    def tripped(self, b, i):
+        raise InternalInconsistencyError("planted disagreement")
+
+    monkeypatch.setattr(BInfinityCrystal, "psi_embed", tripped)
+    assert cli.main(["verify", "--cartan", files["exb.json"], "--depth", "2"]) == 4
+    assert _one_line_internal_error(capsys)
+
+
+def test_verify_enumerates_once(files, capsys, monkeypatch):
+    calls = []
+    real_reachable = binfinity.reachable
+
+    def counting(*args):
+        calls.append(args[2])
+        return real_reachable(*args)
+
+    monkeypatch.setattr(binfinity, "reachable", counting)
+    assert cli.main(["verify", "--cartan", files["exb.json"], "--depth", "3"]) == 0
+    capsys.readouterr()
+    assert calls == [3]
 
 
 def test_eps_star_disagreement_exits_four(files, capsys, monkeypatch):

@@ -20,11 +20,10 @@ from gkm_crystals.crystal import (
     verify_axioms,
 )
 from gkm_crystals.elementary import ElementaryCrystal
-from gkm_crystals.errors import DepthExceededError, EvaluationFailureError, UnknownFormatError
+from gkm_crystals.errors import DepthExceededError, EvaluationFailureError, InputError
 
 SL2 = validate_datum([[2]])
 A2 = validate_datum([[2, -1], [-1, 2]])
-TWO_IMAG = validate_datum([[0, -1], [-1, 0]])
 
 
 class TableCrystal(Crystal):
@@ -219,9 +218,11 @@ def test_reachable_deterministic():
 def test_reachable_cap():
     from gkm_crystals.binfinity import BInfinityCrystal
 
-    c = BInfinityCrystal(TWO_IMAG)
-    with pytest.raises(DepthExceededError):
-        reachable(c, c.highest_weight(), 6, cap=10)
+    # B(inf) over [[2]] has one element per depth: 10000 fit under the cap, 10001 do not.
+    c = BInfinityCrystal(SL2)
+    assert len(reachable(c, c.highest_weight(), 9999)[0]) == 10000
+    with pytest.raises(DepthExceededError, match="^more than 10000 nodes generated$"):
+        reachable(c, c.highest_weight(), 10000)
 
 
 def test_export_dot_and_json_stable():
@@ -239,7 +240,7 @@ def test_export_dot_and_json_stable():
     assert len(payload["nodes"]) == 7
     keys = {n["key"] for n in payload["nodes"]}
     assert {e["src"] for e in payload["edges"]} <= keys
-    with pytest.raises(UnknownFormatError):
+    with pytest.raises(InputError, match="^unknown export format 'xml'$"):
         export_graph(g, "xml")
 
 

@@ -8,13 +8,9 @@ import pytest
 
 from gkm_crystals import oracle
 from gkm_crystals.cartan import validate_datum
-from gkm_crystals.errors import (
-    HeightExceededError,
-    InexactDivisionError,
-    LengthMismatchError,
-    NegativeCoordinateError,
-)
+from gkm_crystals.errors import InexactDivisionError, InputError
 from gkm_crystals.oracle import (
+    DEFAULT_HEIGHT_BOUND,
     Laurent,
     build_relations,
     graded_dim,
@@ -65,12 +61,12 @@ def test_q_binomial_values():
 
 def test_relation_counts():
     # overlapping Serre and commutator relations collapse to one
-    assert len(build_relations(validate_datum([[2, 0], [0, 0]]))) == 1
-    assert len(build_relations(validate_datum([[2, 0], [0, 2]]))) == 1
-    assert len(build_relations(validate_datum([[2, -1], [-1, 2]]))) == 2
-    assert len(build_relations(validate_datum([[0, -1], [-1, 2]]))) == 1
-    assert len(build_relations(validate_datum([[-2]]))) == 0
-    assert len(build_relations(validate_datum([[0, -1], [-1, 0]]))) == 0
+    assert len(build_relations(validate_datum([[2, 0], [0, 0]]), DEFAULT_HEIGHT_BOUND)) == 1
+    assert len(build_relations(validate_datum([[2, 0], [0, 2]]), DEFAULT_HEIGHT_BOUND)) == 1
+    assert len(build_relations(validate_datum([[2, -1], [-1, 2]]), DEFAULT_HEIGHT_BOUND)) == 2
+    assert len(build_relations(validate_datum([[0, -1], [-1, 2]]), DEFAULT_HEIGHT_BOUND)) == 1
+    assert len(build_relations(validate_datum([[-2]]), DEFAULT_HEIGHT_BOUND)) == 0
+    assert len(build_relations(validate_datum([[0, -1], [-1, 0]]), DEFAULT_HEIGHT_BOUND)) == 0
 
 
 # The acceptance-gate matrices and the mixed rank-3 matrix M3.
@@ -107,7 +103,7 @@ def test_relations_are_distinct_by_construction():
                 root[j - 1] += 1
                 if (j != i and d.a(i, j) != 0 and d.is_real(i)) or (i < j and d.a(i, j) == 0):
                     expected.append(tuple(root))
-        weights = [r.weight for r in build_relations(d)]
+        weights = [r.weight for r in build_relations(d, DEFAULT_HEIGHT_BOUND)]
         assert Counter(weights) == Counter(expected), matrix
         assert len(set(weights)) == len(weights), matrix
 
@@ -117,14 +113,14 @@ def test_relations_stop_at_max_height():
     assert build_relations(d, 1) == ()
     assert [r.weight for r in build_relations(d, 2)] == [(1, 0, 1), (0, 1, 1)]
     assert [r.weight for r in build_relations(d, 5)] == [(4, 1, 0), (1, 0, 1), (1, 4, 0), (0, 1, 1)]
-    assert build_relations(d, 5) == build_relations(d)
+    assert build_relations(d, 5) == build_relations(d, DEFAULT_HEIGHT_BOUND)
     orthogonal = validate_datum([[0, 0], [0, -2]])
     assert build_relations(orthogonal, 1) == ()
     assert [r.weight for r in build_relations(orthogonal, 2)] == [(1, 1)]
 
 
 def test_relation_weights_and_shape():
-    rels = build_relations(validate_datum([[2, -1], [-1, 2]]))
+    rels = build_relations(validate_datum([[2, -1], [-1, 2]]), DEFAULT_HEIGHT_BOUND)
     weights = sorted(r.weight for r in rels)
     assert weights == [(1, 2), (2, 1)]
     serre = next(r for r in rels if r.weight == (2, 1))
@@ -323,11 +319,11 @@ def test_free_case_counts_all_words():
 
 def test_graded_dim_input_guards():
     d = validate_datum([[2, -1], [-1, 2]])
-    with pytest.raises(NegativeCoordinateError):
+    with pytest.raises(InputError, match=r"^weight \(-1, 0\) leaves the positive cone$"):
         graded_dim(d, (-1, 0))
-    with pytest.raises(HeightExceededError):
+    with pytest.raises(InputError, match="^height 8 exceeds the bound 7$"):
         graded_dim(d, (5, 3))
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(InputError, match="^weight length 3 != rank 2$"):
         graded_dim(d, (1, 1, 1))
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(InputError, match="^weight length 2 != rank 3$"):
         graded_dim(validate_datum(GATE_MATRICES[-1]), (1, 1))

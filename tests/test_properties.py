@@ -69,7 +69,8 @@ def test_transport_to_another_period_is_a_graph_isomorphism(example):
     crystal = BInfinityCrystal(datum, iota)
     reverse = IotaSequence(tuple(reversed(iota.period)))
     alt = crystal.realization_with(reverse if reverse != iota else iota.shifted())
-    assert transport_isomorphism_findings(crystal, alt, 3) == []
+    elements, _, _ = crystal.enumerate_to_depth(3)
+    assert transport_isomorphism_findings(crystal, alt, elements) == []
 
 
 def raising_length(c, i, b):
