@@ -5,6 +5,10 @@ defined.  A subspace is an `EchelonBasis`: its reduced row echelon basis,
 grown one vector at a time, which answers membership and, with rows
 augmented by unit vectors, coordinates.  Because that basis is unique,
 `rref` and `nullspace` are one-shot uses of it.
+
+Values enter and leave as `Fraction`s (only int and Fraction entries are
+accepted), but the kernels run on ints: echelon rows, products and the
+characteristic polynomial work on vectors cleared of denominators.
 """
 
 from __future__ import annotations
@@ -13,8 +17,40 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cached_property
+
+from .errors import InternalInconsistencyError
 
 Vec = tuple[Q, ...]
+
+
+def _rat(x) -> Q:
+    if not isinstance(x, (int, Q)):
+        raise TypeError(f"exact arithmetic takes int or Fraction entries, not {type(x).__name__}")
+    return Q(x)
+
+
+def _clear(v) -> tuple[list[int], int]:
+    """(u, d) with d > 0 the least integer for which u = d*v is integral."""
+    pairs = [a.as_integer_ratio() for a in v if isinstance(a, (int, Q))]
+    if len(pairs) != len(v):
+        for a in v:
+            _rat(a)  # raises at the first entry that is neither
+    d = math.lcm(*[q for _, q in pairs])
+    return [p * (d // q) for p, q in pairs], d
+
+
+def _cancel(u: list[int], row: list[int], p: int) -> tuple[list[int], int]:
+    """(m*u - c*row, m) with m > 0 least such that the result vanishes at p; row[p] > 0."""
+    g = math.gcd(u[p], row[p])
+    m, c = row[p] // g, u[p] // g
+    return [m * a - c * b if b else m * a for a, b in zip(u, row)], m
+
+
+def _int_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(x * col[j] for j, x in nz) for col in cols]
+            for nz in ([(j, x) for j, x in enumerate(row) if x] for row in a)]
 
 
 @dataclass(frozen=True)
@@ -29,7 +65,7 @@ class RatMat:
 
     @classmethod
     def from_rows(cls, rows, nrows: int | None = None, ncols: int | None = None) -> "RatMat":
-        ent = tuple(tuple(Q(x) for x in row) for row in rows)
+        ent = tuple(tuple(_rat(x) for x in row) for row in rows)
         r = len(ent) if nrows is None else nrows
         c = (len(ent[0]) if ent else 0) if ncols is None else ncols
         return cls(r, c, ent)
@@ -41,6 +77,10 @@ class RatMat:
     @classmethod
     def identity(cls, n: int) -> "RatMat":
         return cls(n, n, tuple(tuple(Q(1 if i == j else 0) for j in range(n)) for i in range(n)))
+
+    @cached_property
+    def _int_rows(self) -> list[tuple[list[int], int]]:
+        return [_clear(r) for r in self.entries]
 
     def __add__(self, other: "RatMat") -> "RatMat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -55,18 +95,14 @@ class RatMat:
         return self + (-other)
 
     def scale(self, c) -> "RatMat":
-        c = Q(c)
+        c = _rat(c)
         return RatMat(self.nrows, self.ncols, tuple(tuple(c * a for a in r) for r in self.entries))
 
     def __matmul__(self, other: "RatMat") -> "RatMat":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch in product: {self.ncols} vs {other.nrows}")
-        cols = list(zip(*other.entries)) if other.nrows else [()] * other.ncols
-        out = tuple(
-            tuple(sum((a * b for a, b in zip(row, col)), Q(0)) for col in cols)
-            for row in self.entries
-        )
-        return RatMat(self.nrows, other.ncols, out)
+        images = self.apply_rows(other.transpose().entries)  # column k of the product is self @ column k
+        return RatMat(other.ncols, self.nrows, tuple(images)).transpose()
 
     def transpose(self) -> "RatMat":
         ent = tuple(tuple(self.entries[r][c] for r in range(self.nrows)) for c in range(self.ncols))
@@ -79,8 +115,14 @@ class RatMat:
 
     def apply_rows(self, rows) -> list[Vec]:
         """Apply the operator to row vectors: column convention, v -> (M v^T)^T."""
-        return [tuple(sum((self.entries[r][c] * v[c] for c in range(self.ncols)), Q(0))
-                      for r in range(self.nrows)) for v in rows]
+        out = []
+        for v in rows:
+            if len(v) != self.ncols:
+                raise ValueError(f"vector of length {len(v)} for a matrix with {self.ncols} columns")
+            u, dv = _clear(v)
+            nz = [(j, x) for j, x in enumerate(u) if x]
+            out.append(tuple(Q(sum(row[j] * x for j, x in nz), dr * dv) for row, dr in self._int_rows))
+        return out
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.entries for a in r)
@@ -91,47 +133,65 @@ class EchelonBasis:
 
     `rows` is the reduced row echelon basis of the span, sorted by pivot
     column, and `pivots` lists the pivot columns.  Every insertion keeps
-    that form, so the rows are the same whatever order spanned them.
+    that form, so the rows are the same whatever order spanned them.  Each
+    row is stored as the primitive integer vector with a positive pivot
+    entry; the RREF row is that vector divided by its pivot entry.
     """
 
     def __init__(self, width: int, rows=()):
         self.width = width
-        self.rows: list[Vec] = []
         self.pivots: list[int] = []
+        self._ints: list[list[int]] = []
+        self._rows: list[Vec] | None = []
         for v in rows:
             self.add(v)
 
-    def reduce(self, v) -> Vec:
-        """v with every pivot column cleared: zero exactly when v lies in the span."""
-        v = [Q(a) for a in v]
+    @property
+    def rows(self) -> list[Vec]:
+        if self._rows is None:
+            self._rows = [tuple(Q(a, r[p]) for a in r) for r, p in zip(self._ints, self.pivots)]
+        return self._rows
+
+    def _eliminate(self, v) -> tuple[list[int], int]:
+        """(u, s), s > 0, with u/s equal to v with every pivot column cleared."""
         if len(v) != self.width:
             raise ValueError(f"vector of length {len(v)} in a basis of width {self.width}")
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                v = [a - c * b if b else a for a, b in zip(v, row)]
-        return tuple(v)
+        u, s = _clear(v)
+        for row, p in zip(self._ints, self.pivots):
+            if u[p]:
+                u, m = _cancel(u, row, p)
+                s *= m
+        return u, s
+
+    def reduce(self, v) -> Vec:
+        """v with every pivot column cleared: zero exactly when v lies in the span."""
+        u, s = self._eliminate(v)
+        return tuple(Q(a, s) for a in u)
 
     def add(self, v) -> bool:
         """Insert v; True when the span grew."""
-        v = self.reduce(v)
-        p = next((k for k, a in enumerate(v) if a), None)
+        u, _ = self._eliminate(v)
+        p = next((k for k, a in enumerate(u) if a), None)
         if p is None:
             return False
-        inv = 1 / v[p]
-        v = tuple(a * inv for a in v)
-        self.rows = [tuple(a - r[p] * b if b else a for a, b in zip(r, v)) if r[p] else r
-                     for r in self.rows]
+        g = math.gcd(*u) if u[p] > 0 else -math.gcd(*u)
+        u = [a // g for a in u]
+        for k, r in enumerate(self._ints):
+            if r[p]:
+                r, _ = _cancel(r, u, p)
+                g = math.gcd(*r)
+                self._ints[k] = [a // g for a in r]
         k = bisect.bisect(self.pivots, p)
-        self.rows.insert(k, v)
+        self._ints.insert(k, u)
         self.pivots.insert(k, p)
+        self._rows = None
         return True
 
     def __contains__(self, v) -> bool:
-        return not any(self.reduce(v))
+        return not any(self._eliminate(v)[0])
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._ints)
 
 
 def rref(rows, width: int):
@@ -155,18 +215,32 @@ def nullspace(m: RatMat) -> list[Vec]:
 
 
 def charpoly(m: RatMat) -> list[Q]:
-    """Monic characteristic polynomial, highest degree first (Faddeev-LeVerrier)."""
+    """Monic characteristic polynomial, highest degree first (Le Verrier).
+
+    Runs on the integer matrix a = D*m, D the lcm of the entries'
+    denominators, whose coefficients c_k are integers: Newton's identities
+    k c_k = -(s_k + c_1 s_(k-1) + ... + c_(k-1) s_1) over the power traces
+    s_k = tr(a^k) divide exactly, and an inexact division is a tripwire.
+    tr(a^k) pairs a^ceil(k/2) with a^floor(k/2), so no higher power is
+    formed.  Coefficient k of m is c_k / D^k.
+    """
     n = m.nrows
     if n != m.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    coeffs = [Q(1)]
-    mk = RatMat.identity(n)
+    den = math.lcm(*(d for _, d in m._int_rows))
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)],
+              [[x * (den // d) for x in row] for row, d in m._int_rows]]
+    while len(powers) <= (n + 1) // 2:
+        powers.append(_int_product(powers[-1], powers[1]))
+    coeffs, traces = [1], [n]
     for k in range(1, n + 1):
-        mk = m @ mk
-        ck = -mk.trace() / k
+        p, q = powers[(k + 1) // 2], powers[k // 2]
+        traces.append(sum(x * q[j][i] for i, row in enumerate(p) for j, x in enumerate(row) if x))
+        ck, rem = divmod(-sum(c * t for c, t in zip(coeffs, reversed(traces))), k)
+        if rem:
+            raise InternalInconsistencyError(f"Newton's identity {k} does not divide exactly")
         coeffs.append(ck)
-        mk = mk + RatMat.identity(n).scale(ck)
-    return coeffs
+    return [Q(c, den ** k) for k, c in enumerate(coeffs)]
 
 
 def poly_eval(p, x) -> Q:
@@ -181,33 +255,16 @@ def poly_deriv(p) -> list[Q]:
     return [c * (n - k) for k, c in enumerate(p[:-1])]
 
 
-def _poly_norm(p) -> list[Q]:
-    k = next((i for i, c in enumerate(p) if c != 0), None)
-    if k is None:
-        return []
-    lead = p[k]
-    return [Q(c, lead) for c in p[k:]]
-
-
-def _poly_mod(a, b) -> list[Q]:
-    # b monic and nonzero
-    a = list(a)
-    while len(a) >= len(b):
-        factor = a[0]
-        if factor != 0:
-            for i in range(1, len(b)):
-                a[i] -= factor * b[i]
-        a = a[1:]
-    return a
-
-
 def poly_gcd(a, b) -> list[Q]:
-    """Monic gcd, highest degree first; the zero polynomial is []."""
-    a, b = _poly_norm(a), _poly_norm(b)
+    """Monic gcd, highest degree first; the zero polynomial is [].
+
+    Euclid runs on primitive integer pseudo-remainders, positive multiples
+    of the true remainders, and the result is made monic at the end.
+    """
+    a, b = _primitive(a), _primitive(b)
     while b:
-        r = _poly_mod(a, b) if len(a) >= len(b) else a
-        a, b = b, _poly_norm(r)
-    return a
+        a, b = b, _rem(a, b)
+    return [Q(c, a[0]) for c in a]
 
 
 def is_squarefree(p) -> bool:
@@ -219,10 +276,19 @@ def is_squarefree(p) -> bool:
 def _primitive(p) -> list[int]:
     """The integer multiple c*p, c > 0, with coprime coefficients and no leading zeros."""
     k = next((i for i, c in enumerate(p) if c != 0), len(p))
-    den = math.lcm(*(c.denominator for c in p[k:]))
-    ints = [int(c * den) for c in p[k:]]
+    ints, _ = _clear(p[k:])
     g = math.gcd(*ints)
     return [c // g for c in ints]
+
+
+def _rem(a: list[int], b: list[int]) -> list[int]:
+    """_primitive of the remainder of a by b, a positive multiple of it; b has no leading zero."""
+    if b[0] < 0:
+        b = [-c for c in b]
+    while len(a) >= len(b):
+        c = a[0]
+        a = [b[0] * x - c * y for x, y in zip(a[1:], b[1:])] + [b[0] * x for x in a[len(b):]]
+    return _primitive(a)
 
 
 def _sign_changes(seq: list[list[int]], h: int) -> int:
@@ -248,7 +314,7 @@ def rational_roots(p) -> list[Q]:
     to unit intervals isolates every integer candidate; each one is then
     confirmed exactly on p.
     """
-    p = [Q(c) for c in p]
+    p = [_rat(c) for c in p]
     k = next((i for i, c in enumerate(p) if c != 0), None)
     if k is None:
         raise ValueError("zero polynomial")
@@ -263,10 +329,10 @@ def rational_roots(p) -> list[Q]:
     m = [1] + [c * a[0] ** (i - 1) for i, c in enumerate(a) if i]
     seq = [m, _primitive(poly_deriv(m))]
     while len(seq[-1]) > 1:
-        r = _poly_mod(seq[-2], _poly_norm(seq[-1]))
-        if not any(r):
+        r = _rem(seq[-2], seq[-1])
+        if not r:
             break
-        seq.append(_primitive([-c for c in r]))
+        seq.append([-c for c in r])
     edge = 2 * max(abs(c) for c in m) + 3  # m's roots lie in (-edge/2, edge/2)
     stack = [(-edge, _sign_changes(seq, -edge), edge, _sign_changes(seq, edge))]
     while stack:

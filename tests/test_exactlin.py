@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkm_crystals import exactlin
+from gkm_crystals.errors import InternalInconsistencyError
 from gkm_crystals.exactlin import (
     EchelonBasis,
     RatMat,
@@ -63,6 +65,31 @@ def test_apply_rows_convention():
     assert img == (Q(1), Q(0))
     [img] = m.apply_rows([(Q(0), Q(1))])
     assert img == (Q(1), Q(3))
+
+
+def test_apply_rows_rejects_a_length_mismatch():
+    m = RatMat.from_rows([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="vector of length 3 for a matrix with 2 columns"):
+        m.apply_rows([(1, 1, 99)])
+    with pytest.raises(ValueError, match="vector of length 1 for a matrix with 2 columns"):
+        m.apply_rows([(1,)])
+    assert m.apply_rows([(1, 1)]) == [(Q(3), Q(7))]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RatMat.from_rows([[0.1]]),
+    lambda: RatMat.identity(2).scale(0.5),
+    lambda: RatMat.identity(2).apply_rows([(1.0, 0)]),
+    lambda: EchelonBasis(2, [(1.5, 0)]),
+    lambda: EchelonBasis(2).reduce((0, 0.5)),
+    lambda: (0.5, 0) in EchelonBasis(2),
+    lambda: rational_roots([1, -0.5]),
+    lambda: poly_gcd([1, 0.5], [1, 0]),
+    lambda: is_squarefree([1.0, 0, -1]),
+])
+def test_floats_are_rejected(build):
+    with pytest.raises(TypeError, match="exact arithmetic takes int or Fraction entries"):
+        build()
 
 
 def test_rref_and_rank():
@@ -266,3 +293,207 @@ def small_integer_polys(draw):
 def test_rational_roots_match_divisor_search(p):
     assert max(abs(c) for c in p) <= 50
     assert rational_roots(p) == _divisor_search(p)
+
+
+# -- the integer kernels against plain Fraction arithmetic ---------------------
+
+
+def _ref_rref(rows, width: int):
+    """Gauss-Jordan elimination over Fractions: (RREF rows sorted by pivot, pivots)."""
+    basis: list[list[Q]] = []
+    for v in rows:
+        v = [Q(a) for a in v]
+        for row in basis:
+            p = next(k for k, a in enumerate(row) if a)
+            c = v[p]
+            v = [a - c * b for a, b in zip(v, row)]
+        p = next((k for k, a in enumerate(v) if a), None)
+        if p is None:
+            continue
+        v = [a / v[p] for a in v]
+        basis = [[a - r[p] * b for a, b in zip(r, v)] for r in basis] + [v]
+    basis.sort(key=lambda r: next(k for k, a in enumerate(r) if a))
+    return [tuple(r) for r in basis], [next(k for k, a in enumerate(r) if a) for r in basis]
+
+
+def _ref_reduce(rows, pivots, v):
+    return tuple(Q(a) - sum((Q(v[p]) * r[k] for r, p in zip(rows, pivots)), Q(0)) for k, a in enumerate(v))
+
+
+def _ref_apply(entries, v) -> tuple[Q, ...]:
+    return tuple(sum((a * Q(x) for a, x in zip(row, v)), Q(0)) for row in entries)
+
+
+def _ref_charpoly(entries, n: int) -> list[Q]:
+    """Faddeev-LeVerrier over Fractions."""
+    coeffs, mk = [Q(1)], [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        mk = [[sum((entries[i][t] * mk[t][j] for t in range(n)), Q(0)) for j in range(n)] for i in range(n)]
+        ck = -sum(mk[i][i] for i in range(n)) / k
+        coeffs.append(ck)
+        for i in range(n):
+            mk[i][i] += ck
+    return coeffs
+
+
+KERNEL_SETTINGS = settings(derandomize=True, max_examples=120, deadline=None, database=None)
+_entries = st.one_of(st.just(Q(0)), st.integers(-3, 3).map(Q), _rationals(10**6))
+
+
+@st.composite
+def spanning_rows(draw, width: int | None = None):
+    """(width, rows): fresh vectors, zero vectors, repeats and combinations of earlier rows."""
+    width = draw(st.integers(0, 7)) if width is None else width
+    rows: list[tuple[Q, ...]] = []
+    for kind in draw(st.lists(st.sampled_from(["fresh", "fresh", "zero", "repeat", "combination"]), max_size=8)):
+        if kind == "fresh" or not rows:
+            rows.append(tuple(draw(st.lists(_entries, min_size=width, max_size=width))))
+        elif kind == "zero":
+            rows.append((Q(0),) * width)
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(_rationals(10**6))
+            rows.append(tuple(x + c * y for x, y in zip(a, b)))
+    return width, rows
+
+
+@given(spanning_rows(), st.data())
+@KERNEL_SETTINGS
+def test_echelon_basis_matches_fraction_reference(case, data):
+    width, rows = case
+    basis = EchelonBasis(width, rows)
+    ref_rows, ref_pivots = _ref_rref(rows, width)
+    assert basis.rows == ref_rows and basis.pivots == ref_pivots and len(basis) == len(ref_rows)
+    assert all(type(a) is Q for r in basis.rows for a in r)
+    assert rref(rows, width) == (ref_rows, ref_pivots)
+    for v in rows + data.draw(spanning_rows(width))[1]:
+        red = basis.reduce(v)
+        assert red == _ref_reduce(ref_rows, ref_pivots, v) and all(type(a) is Q for a in red)
+        assert (v in basis) == (not any(red))
+
+
+@given(spanning_rows())
+@KERNEL_SETTINGS
+def test_nullspace_matches_fraction_reference(case):
+    width, rows = case
+    m = RatMat.from_rows(rows, nrows=len(rows), ncols=width)
+    ref_rows, ref_pivots = _ref_rref(rows, width)
+    expected = []
+    for fc in (c for c in range(width) if c not in ref_pivots):
+        v = [Q(int(c == fc)) for c in range(width)]
+        for r, pc in zip(ref_rows, ref_pivots):
+            v[pc] = -r[fc]
+        expected.append(tuple(v))
+    assert nullspace(m) == expected
+    assert all(not any(_ref_apply(m.entries, v)) for v in expected)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(m, n, vectors): m is r x c, n is c x s, vectors have length c; any side may be 0."""
+    r, c, s = draw(st.integers(0, 7)), draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    grid = lambda a, b: draw(st.lists(st.lists(_entries, min_size=b, max_size=b), min_size=a, max_size=a))
+    vectors = [tuple(v) for v in grid(draw(st.integers(0, 3)), c)] + [(Q(0),) * c]
+    return RatMat.from_rows(grid(r, c), nrows=r, ncols=c), RatMat.from_rows(grid(c, s), nrows=c, ncols=s), vectors
+
+
+@given(matrix_pairs())
+@KERNEL_SETTINGS
+def test_products_match_fraction_reference(case):
+    m, n, vectors = case
+    images = m.apply_rows(vectors)
+    assert images == [_ref_apply(m.entries, v) for v in vectors]
+    assert all(type(a) is Q for img in images for a in img)
+    prod = m @ n
+    cols = [tuple(row[j] for row in n.entries) for j in range(n.ncols)]
+    assert (prod.nrows, prod.ncols) == (m.nrows, n.ncols)
+    assert prod.entries == tuple(tuple(_ref_apply((row,), col)[0] for col in cols) for row in m.entries)
+    assert all(type(a) is Q for row in prod.entries for a in row)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 7))
+    bound = draw(st.sampled_from([3, 10**6]))
+    entry = st.one_of(st.just(Q(0)), _rationals(bound))
+    return RatMat.from_rows(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)),
+                            nrows=n, ncols=n)
+
+
+@given(square_matrices())
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+def test_charpoly_matches_fraction_reference(m):
+    coeffs = charpoly(m)
+    assert coeffs == _ref_charpoly(m.entries, m.nrows)
+    assert all(type(c) is Q for c in coeffs)
+
+
+def test_charpoly_of_the_empty_matrix():
+    assert charpoly(RatMat.from_rows([], nrows=0, ncols=0)) == [Q(1)]
+
+
+def test_charpoly_inexact_division_is_a_tripwire(monkeypatch):
+    product = exactlin._int_product
+
+    def planted(a, b):  # a wrong power: one more in the corner
+        out = product(a, b)
+        out[0][0] += 1
+        return out
+
+    m = RatMat.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert charpoly(m) == [Q(1), Q(-1), Q(0), Q(0)]
+    monkeypatch.setattr(exactlin, "_int_product", planted)
+    with pytest.raises(InternalInconsistencyError, match="Newton's identity 3"):
+        charpoly(m)
+
+
+def _ref_gcd(a, b) -> list[Q]:
+    """Monic Euclid over Fractions."""
+    def monic(p):
+        p = list(p)
+        while p and p[0] == 0:
+            p = p[1:]
+        return [Q(c) / p[0] for c in p] if p else []
+
+    a, b = monic(a), monic(b)
+    while b:
+        while len(a) >= len(b):
+            c = a[0]
+            a = [x - c * y for x, y in zip(a, b)] + a[len(b):]
+            a = a[1:]
+        a, b = b, monic(a)
+    return a
+
+
+@given(st.lists(_rationals(10**6), min_size=1, max_size=3), st.lists(st.lists(_rationals(10**6), min_size=1, max_size=3),
+                                                                     min_size=2, max_size=2))
+@ROOT_SETTINGS
+def test_poly_gcd_matches_fraction_euclid(common, cofactors):
+    a, b = (_times(common, f) for f in cofactors)
+    g = poly_gcd(a, b)
+    assert g == _ref_gcd(a, b) and all(type(c) is Q for c in g)
+    assert is_squarefree(a) == (len(a) <= 2 or len(_ref_gcd(a, poly_deriv(a))) <= 1)
+
+
+def _ref_remainder(a, b) -> list[Q]:
+    a = [Q(c) for c in a]
+    while len(a) >= len(b):
+        c = a[0] / b[0]
+        a = [x - c * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+    return a
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=7), st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=5))
+@ROOT_SETTINGS
+def test_integer_remainder_is_a_positive_multiple(a, b):
+    """_rem(a, b) is the primitive form of the remainder over Q, scaled by a positive factor only."""
+    b = exactlin._primitive(b) or [1]
+    r = _ref_remainder(a, b)
+    assert exactlin._rem(a, b) == exactlin._primitive(r)
+
+
+def test_integer_remainder_keeps_its_sign():
+    # x^3 + x + 1 = (-x)(-x^2 - 1) + 1: three steps by a negative leading coefficient
+    assert exactlin._rem([1, 0, 1, 1], [-1, 0]) == [1]
