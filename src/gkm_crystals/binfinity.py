@@ -10,20 +10,25 @@ where the head is a formal highest-weight element with weight zero and
 eps_i = phi_i = 0 for every index.  Strings are canonical: the last
 coordinate is nonzero (the empty string is the highest-weight element).
 
-Operators fold the binary tensor routing rule (`tensor.route`) across the
-product from the outermost factor inward, reading tables of the matrix
-rows and the iota period built once per realization.  Before operating at
-index i the string is extended by zero coordinates up to the first i-slot
-lying head-side of every stored coordinate; with that extension the
-lowering operator always lands on a factor, never on the head, so f_i is
-total and the realization is closed under it.
+The statistics and the operators come from one pass over the string from
+the head outward, reading tables of the matrix rows and the iota period
+built once per realization.  The pass folds the tensor statistics and
+asks the binary tensor routing rule (`tensor.route`) at every factor in
+an i-slot; an operator acts on the outermost factor at which the rule
+does not route head-side.  Before operating at index i the string is extended by zero
+coordinates up to the first i-slot lying head-side of every stored
+coordinate; with that extension the lowering operator always lands on a
+factor, never on the head, so f_i is total and the realization is closed
+under it.
 
+Each realization keeps one record per string it has answered for, with
+eps_i and phi_i (once their checks have passed) and e_i and f_i (a
+vanishing operator included) for every index.  An operator's image is
+stored as its own record's element, so each element is held once.
 Transport between realizations strips an element to the head and replays
 the raising word as lowerings in the target.  Each realization memoizes
 the raising step at every element it strips and every image it replays,
 so shared word suffixes are computed once and the result is unchanged.
-Likewise eps_i and phi_i are memoized per element and index, once their
-checks have passed.
 """
 
 from __future__ import annotations
@@ -31,10 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import BorcherdsCartanDatum, Weight
-from .crystal import NEG_INF, Crystal, Violation, check_strict_morphism, reachable
+from .crystal import Crystal, Violation, check_strict_morphism, reachable
 from .elementary import ElementaryCrystal, ElementaryElement
 from .errors import InputError, InternalInconsistencyError, StrippingStuckError
 from .tensor import TensorCrystal, TensorElement, route
+
+_UNSET = object()  # a record slot not yet computed
 
 
 @dataclass(frozen=True)
@@ -104,24 +111,32 @@ class BInfinityCrystal(Crystal):
     one cached member per iota, and all members share one `gap_events`
     log.  It is a dict used as an ordered set: its keys are the distinct
     (element key, index) pairs at which the imaginary annihilation gap
-    fired, in first-firing order, so the transport memos cannot change it.
+    fired, in first-firing order, so the memos cannot change it.
+
+    Each realization keeps one record per coordinate string it has
+    answered for: the flat list [element, eps_1, phi_1, e_1, f_1, ...,
+    eps_n, phi_n, e_n, f_n], with `_UNSET` in the slots not yet computed.
+    An operator slot holds the image's own record element (or None), so
+    an element is stored once however many records point at it.
     """
 
     def __init__(self, datum: BorcherdsCartanDatum, iota: IotaSequence | None = None):
+        n = self._n = datum.index_count
         self.datum = datum
-        self.iota = iota if iota is not None else IotaSequence.cyclic(datum.index_count)
-        self.iota.validate_for(datum.index_count)
+        self.iota = iota if iota is not None else IotaSequence.cyclic(n)
+        self.iota.validate_for(n)
         self.gap_events: dict[tuple[str, int], None] = {}
         self._family: dict[IotaSequence, BInfinityCrystal] = {self.iota: self}
         self._steps: dict[tuple[int, ...], tuple[int, BInfElement]] = {}  # next raising step
         self._images: dict[IotaSequence, dict[tuple[int, ...], BInfElement]] = {}  # per target iota
-        self._stats_memo: dict[tuple[int, ...], list] = {}  # checked eps_i and phi_i per string
+        self._records: dict[tuple[int, ...], list] = {}  # one record per string, see the class docstring
+        self._unset_slots = [_UNSET] * (4 * n)
         # Per index i: real flag, a_ii, then a(i, iota_p) and [iota_p == i] per period slot p.
         rows, period = datum.matrix, self.iota.period
         self._tables = [None] + [
             (datum.is_real(i), rows[i - 1][i - 1], tuple(rows[i - 1][j - 1] for j in period),
              tuple(j == i for j in period))
-            for i in range(1, datum.index_count + 1)]
+            for i in range(1, n + 1)]
 
     # -- elements ---------------------------------------------------------
 
@@ -132,6 +147,17 @@ class BInfinityCrystal(Crystal):
         if b.iota is not self.iota and b.iota != self.iota:
             raise InputError("element belongs to a realization with a different iota sequence")
 
+    def _check_index(self, i: int) -> None:
+        if not 0 < i <= self._n:
+            raise InputError(f"index {i} not in 1..{self._n}")
+
+    def _record(self, entries: tuple[int, ...], b: BInfElement | None = None) -> list:
+        """The record of a string, made on first use with b (or a new element) in slot 0."""
+        rec = self._records.get(entries)
+        if rec is None:
+            rec = self._records[entries] = [BInfElement(self.iota, entries) if b is None else b, *self._unset_slots]
+        return rec
+
     def key(self, b: BInfElement) -> str:
         return "-".join(map(str, b.entries)) if b.entries else "hw"
 
@@ -139,34 +165,41 @@ class BInfinityCrystal(Crystal):
 
     def wt(self, b: BInfElement) -> Weight:
         self._own(b)
-        period, coords = self.iota.period, [0] * self.datum.index_count
+        period, coords = self.iota.period, [0] * self._n
         for pos, a in enumerate(b.entries):
             coords[period[pos % len(period)] - 1] -= a
         return tuple(coords)
 
-    def _prefix_arrays(self, i: int, entries: list[int]):
-        """(eps_i, <h_i, wt>, phi_pre, ef) of the string, in one pass from the head.
+    def _scan(self, raising: bool, i: int, entries):
+        """(eps_i, <h_i, wt>, phi_i, m, side) of a string, in one pass from the head.
 
-        phi_pre[k] is phi_i of the head with the factors at 0-based positions
-        k, ..., L-1 (slot L is the bare head); ef[k] is eps_i of factor k.
+        The pass folds the tensor statistics factor by factor and asks
+        `route` at every i-slot (off the i-slots eps_i is -inf, so the
+        action routes head-side there).  m is the outermost factor at which
+        `route` does not answer True and side its answer there; both are
+        None when the action routes head-side at every factor.
         """
-        real, _, cols, slots = self._tables[i]
+        real, aii, cols, slots = self._tables[i]
         plen = len(slots)
-        eps = wti = 0
-        phi_pre = [0] * (len(entries) + 1)
-        ef = [NEG_INF] * len(entries)
+        eps = wti = phi = 0
+        m = side = None
         for k in range(len(entries) - 1, -1, -1):
-            wf = -entries[k] * cols[k % plen]
-            phi_pre[k] = phi_pre[k + 1] + wf
-            if slots[k % plen]:
-                e = ef[k] = entries[k] if real else 0
+            p = k % plen
+            wf = -entries[k] * cols[p]
+            if slots[p]:
+                e = entries[k] if real else 0
+                answer = route(raising, real, aii, phi, e)
+                if answer is not True:
+                    m, side = k, answer
                 eps = max(eps, e - wti)
-                phi_pre[k] = max(phi_pre[k], e + wf)
+                phi = max(phi, e) + wf
+            else:
+                phi += wf
             wti += wf
-        return eps, wti, phi_pre, ef
+        return eps, wti, phi, m, side
 
     def _stats(self, i: int, b: BInfElement) -> tuple[int, int]:
-        """(eps_i, phi_i) of b from one prefix pass, memoized per element.
+        """(eps_i, phi_i) of b from one pass, memoized in b's record.
 
         Tripwires: the tensor statistics must satisfy phi = eps + <h_i, wt>,
         an imaginary eps must be 0, and a real eps must be the length of the
@@ -177,18 +210,18 @@ class BInfinityCrystal(Crystal):
         memoized only once the whole walk has passed.
         """
         self._own(b)
-        self.datum.check_index(i)
-        k = 2 * i - 2  # slots of one string: eps_1, phi_1, ..., eps_n, phi_n, or None
-        memo = self._stats_memo
-        slots = memo.get(b.entries)
-        if slots is not None and slots[k] is not None:
-            return slots[k], slots[k + 1]
+        self._check_index(i)
+        k = 4 * i - 3  # the eps_i slot of a record; phi_i follows it
+        records = self._records
+        rec = records.get(b.entries)
+        if rec is not None and rec[k] is not _UNSET:
+            return rec[k], rec[k + 1]
         real = self._tables[i][0]
-        chain, x, known = [], b, None  # chain: (element, eps, phi) awaiting memoization
+        chain, x, known = [], b, _UNSET  # chain: (element, eps, phi) awaiting memoization
         while True:
-            if known is None:
-                val, wti, phi_pre, _ = self._prefix_arrays(i, x.entries)
-                if phi_pre[0] != val + wti:
+            if known is _UNSET:
+                val, wti, phi, _, _ = self._scan(False, i, x.entries)
+                if phi != val + wti:
                     raise InternalInconsistencyError(
                         f"tensor statistics break phi = eps + <h_i,wt> at {self.key(x)}, index {i}")
                 if not real and val != 0:
@@ -199,9 +232,9 @@ class BInfinityCrystal(Crystal):
                 below, below_eps, _ = chain[-1]
                 raise InternalInconsistencyError(
                     f"real eps_{i} = {below_eps} at {self.key(below)} but e_{i} of it has eps_{i} = {val}")
-            if known is not None:
+            if known is not _UNSET:
                 break
-            chain.append((x, val, val + wti))
+            chain.append((x, val, phi))
             x = self.e(i, x) if real else None
             if (x is None) != (val == 0):
                 raise InternalInconsistencyError(
@@ -209,13 +242,11 @@ class BInfinityCrystal(Crystal):
                     f"{'vanishes' if x is None else 'acts'} there")
             if x is None:
                 break
-            slots = memo.get(x.entries)
-            known = None if slots is None else slots[k]
+            rec = records.get(x.entries)
+            known = _UNSET if rec is None else rec[k]
         for x, val, phi in chain:
-            slots = memo.get(x.entries)
-            if slots is None:
-                slots = memo[x.entries] = [None] * (2 * self.datum.index_count)
-            slots[k], slots[k + 1] = val, phi
+            rec = self._record(x.entries, x)
+            rec[k], rec[k + 1] = val, phi
         return chain[0][1:]
 
     def eps(self, i: int, b: BInfElement):
@@ -227,33 +258,40 @@ class BInfinityCrystal(Crystal):
     # -- operators --------------------------------------------------------
 
     def _act(self, raising: bool, i: int, b: BInfElement):
-        """Fold `route` across the product from the outermost factor inward.
+        """e_i or f_i of b, memoized in b's record; the image is its own record's element.
 
-        Off the i-slots eps_i is -inf, so the action routes head-side there.
+        The string is padded with zeros up to the first i-slot beyond it,
+        and the action lands on the factor m that `_scan` reports.
         """
         self._own(b)
-        self.datum.check_index(i)
-        real, aii, _, slots = self._tables[i]
+        self._check_index(i)
+        slot = 4 * i - 1 if raising else 4 * i
+        rec = self._records.get(b.entries)
+        if rec is not None and rec[slot] is not _UNSET:
+            return rec[slot]
+        slots = self._tables[i][3]
         entries = list(b.entries) + [0]  # pad up to the first i-slot beyond the string
         while not slots[(len(entries) - 1) % len(slots)]:
             entries.append(0)
-        _, _, phi_pre, ef = self._prefix_arrays(i, entries)
-        for m, e in enumerate(ef):
-            side = e is NEG_INF or route(raising, real, aii, phi_pre[m + 1], e)
-            if side:
-                continue
-            if side is None:  # eps < phi <= eps - a_ii: annihilation gap
-                self.gap_events[self.key(b), i] = None
-                return None
-            if raising and entries[m] == 0:
-                return None  # raising a level-0 factor vanishes
+        m, side = self._scan(raising, i, entries)[3:]
+        if m is None:
+            if not raising:
+                raise InternalInconsistencyError("lowering descent reached the head despite slot extension")
+            image = None  # descent reached the head; raising the head vanishes
+        elif side is None:  # eps < phi <= eps - a_ii: annihilation gap
+            self.gap_events[self.key(b), i] = None
+            image = None
+        elif raising and entries[m] == 0:
+            image = None  # raising a level-0 factor vanishes
+        else:
             entries[m] += -1 if raising else 1
             while entries and entries[-1] == 0:
                 entries.pop()
-            return BInfElement(self.iota, tuple(entries))
-        if raising:
-            return None  # descent reached the head; raising the head vanishes
-        raise InternalInconsistencyError("lowering descent reached the head despite slot extension")
+            image = self._record(tuple(entries))[0]
+        if rec is None:
+            rec = self._record(b.entries, b)
+        rec[slot] = image
+        return image
 
     def f(self, i: int, b: BInfElement) -> BInfElement:
         """Lowering operator; total on this realization (never zero)."""
@@ -284,7 +322,7 @@ class BInfinityCrystal(Crystal):
                 raise InternalInconsistencyError("raising word exceeds the weight height")
             step = self._steps.get(x.entries)
             if step is None:
-                for j in range(1, self.datum.index_count + 1):
+                for j in range(1, self._n + 1):
                     y = self.e(j, x)
                     if y is not None:
                         step = self._steps[x.entries] = (j, y)
@@ -318,7 +356,7 @@ class BInfinityCrystal(Crystal):
 
     def _i_first(self, b: BInfElement, i: int) -> tuple["BInfinityCrystal", BInfElement, int]:
         """The i-first realization, b transported there, and its outermost coordinate."""
-        self.datum.check_index(i)
+        self._check_index(i)
         first = self.realization_with(self.iota.i_first(i))
         t = self.transport(b, first)
         return first, t, t.entries[0] if t.entries else 0

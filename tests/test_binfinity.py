@@ -6,6 +6,7 @@ import pytest
 
 from gkm_crystals import cli
 from gkm_crystals.binfinity import (
+    _UNSET,
     BInfElement,
     BInfinityCrystal,
     IotaSequence,
@@ -355,15 +356,15 @@ def plant_e(monkeypatch, fault):
     monkeypatch.setattr(BInfinityCrystal, "e", lambda self, i, b: fault(original, self, i, b))
 
 
-def plant_prefix(monkeypatch, d_eps, d_phi):
+def plant_scan(monkeypatch, d_eps, d_phi):
     """Shift the tensor eps_i and phi_i of every string by the given amounts."""
-    original = BInfinityCrystal._prefix_arrays
+    original = BInfinityCrystal._scan
 
-    def shifted(self, i, entries):
-        eps, wti, phi_pre, ef = original(self, i, entries)
-        return eps + d_eps, wti, [phi_pre[0] + d_phi] + phi_pre[1:], ef
+    def shifted(self, raising, i, entries):
+        eps, wti, phi, m, side = original(self, raising, i, entries)
+        return eps + d_eps, wti, phi + d_phi, m, side
 
-    monkeypatch.setattr(BInfinityCrystal, "_prefix_arrays", shifted)
+    monkeypatch.setattr(BInfinityCrystal, "_scan", shifted)
 
 
 def test_raising_string_vanishing_early_trips(monkeypatch, tmp_path, capsys):
@@ -397,13 +398,62 @@ def test_raising_step_skipping_an_element_trips(monkeypatch, memoized_first):
 
 
 def test_phi_identity_trips(monkeypatch):
-    plant_prefix(monkeypatch, 0, 1)
+    plant_scan(monkeypatch, 0, 1)
     with pytest.raises(InternalInconsistencyError, match="phi = eps"):
         BInfinityCrystal(SL2).phi(1, sl2_string(2))
 
 
 def test_imaginary_eps_trips(monkeypatch):
-    plant_prefix(monkeypatch, 1, 1)
+    plant_scan(monkeypatch, 1, 1)
     c = BInfinityCrystal(TWO_IMAG)
     with pytest.raises(InternalInconsistencyError, match="imaginary eps_1 = 1"):
         c.eps(1, c.f(1, c.highest_weight()))
+
+
+# -- the per-string records ----------------------------------------------------
+
+
+@pytest.mark.parametrize("datum", [M3, GAP], ids=["M3", "GAP"])
+def test_operator_slots_hold_the_images_own_record_element(datum):
+    c = BInfinityCrystal(datum)
+    n = datum.index_count
+    elements, _, _ = c.enumerate_to_depth(5)
+    for b in elements:
+        for i in range(1, n + 1):
+            c.eps(i, b)
+            c.phi(i, b)
+    records = c._records
+    assert all(records[b.entries][0] is b for b in elements)
+    images = [rec[slot] for rec in records.values() for i in range(1, n + 1) for slot in (4 * i - 1, 4 * i)]
+    images = [x for x in images if x is not None and x is not _UNSET]
+    assert len(images) > len(elements)
+    assert all(x is records[x.entries][0] for x in images)
+
+
+def test_lowering_reaching_the_head_trips_and_memoizes_nothing(monkeypatch):
+    original = BInfinityCrystal._scan
+
+    def headward(self, raising, i, entries):
+        eps, wti, phi, m, side = original(self, raising, i, entries)
+        if not raising and 2 in entries:  # f_1 at the string (2,) finds no factor to act on
+            m = side = None
+        return eps, wti, phi, m, side
+
+    monkeypatch.setattr(BInfinityCrystal, "_scan", headward)
+    c = BInfinityCrystal(SL2)
+    b = sl2_string(2)
+    assert c.eps(1, b) == 2  # b has a record, with its eps, phi and e filled
+    for _ in range(2):  # the failed f memoizes nothing, so asking again trips again
+        with pytest.raises(InternalInconsistencyError, match="lowering descent reached the head"):
+            c.f(1, b)
+    assert c._records[b.entries][4] is _UNSET
+
+
+def test_a_bad_index_is_rejected_before_any_record_is_read():
+    c = BInfinityCrystal(SL2)
+    b = sl2_string(1)
+    assert c.e(1, b) == sl2_string(0) and c.eps(1, b) == 1  # b's record is filled
+    for op in (c.e, c.f, c.eps, c.phi):
+        for i in (0, -1, 2):
+            with pytest.raises(InputError, match=rf"^index {i} not in 1\.\.1$"):
+                op(i, b)

@@ -5,7 +5,8 @@ Each example is a symmetric matrix of rank at most 3 (diagonal in
 covers every index, plus up to two repeated indices.  The crystal is
 compared with the oracle, with the axioms, and with its transport onto a
 realization over another period.  The memoized eps_i and phi_i are
-compared with a memo-free reference.  The oracle's exact Laurent division
+compared with a memo-free reference, and the memoized e_i and f_i with
+fresh realizations.  The oracle's exact Laurent division
 is checked against multiplication.
 """
 
@@ -94,6 +95,24 @@ def test_memoized_statistics_match_a_memo_free_reference(example, order_seed):
         eps = raising_length(reference, i, b) if datum.is_real(i) else 0
         assert fresh.eps(i, b) == eps
         assert fresh.phi(i, b) == eps + pairing(datum, i, reference.wt(b))
+
+
+@PROPERTY_SETTINGS
+@given(data_and_periods(), st.integers(0, 2**32 - 1))
+def test_memoized_operators_match_fresh_realizations(example, order_seed):
+    datum, iota = example
+    depth = 4 if datum.index_count <= 2 else 3
+    warm = BInfinityCrystal(datum, iota)
+    elements, _, _ = warm.enumerate_to_depth(depth)
+    queries = 2 * [(b, i) for b in elements for i in range(1, datum.index_count + 1)]
+    random.Random(order_seed).shuffle(queries)
+    cold_gaps = {}
+    for b, i in queries:
+        fresh = BInfinityCrystal(datum, iota)
+        assert warm.e(i, b) == fresh.e(i, b)
+        assert warm.f(i, b) == fresh.f(i, b)
+        cold_gaps.update(fresh.gap_events)
+    assert list(warm.gap_events) == list(cold_gaps)
 
 
 def laurents(max_terms):
