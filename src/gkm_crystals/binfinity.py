@@ -25,10 +25,9 @@ Each realization keeps one record per string it has answered for, with
 eps_i and phi_i (once their checks have passed) and e_i and f_i (a
 vanishing operator included) for every index.  An operator's image is
 stored as its own record's element, so each element is held once.
-Transport between realizations strips an element to the head and replays
-the raising word as lowerings in the target.  Each realization memoizes
-the raising step at every element it strips and every image it replays,
-so shared word suffixes are computed once and the result is unchanged.
+Transport strips an element to the head and replays the raising word as
+lowerings in the target, memoizing every image per target; the strip stops
+early at an element with an image, which was stripped to the head before.
 """
 
 from __future__ import annotations
@@ -127,7 +126,6 @@ class BInfinityCrystal(Crystal):
         self.iota.validate_for(n)
         self.gap_events: dict[tuple[str, int], None] = {}
         self._family: dict[IotaSequence, BInfinityCrystal] = {self.iota: self}
-        self._steps: dict[tuple[int, ...], tuple[int, BInfElement]] = {}  # next raising step
         self._images: dict[IotaSequence, dict[tuple[int, ...], BInfElement]] = {}  # per target iota
         self._records: dict[tuple[int, ...], list] = {}  # one record per string, see the class docstring
         self._unset_slots = [_UNSET] * (4 * n)
@@ -312,46 +310,46 @@ class BInfinityCrystal(Crystal):
             self._family[iota] = other
         return other
 
+    def _walk(self, b: BInfElement, known=()) -> tuple[list[tuple[int, BInfElement]], BInfElement]:
+        """Raising steps (j, x) from b to the head or a string in `known`, and where they stop.
+
+        Each takes the least j with e_j(x) not None; the height of wt(b) bounds their number.
+        """
+        steps, x = [], b
+        while x.entries and x.entries not in known:
+            if not steps:
+                bound = -sum(self.wt(b)) + 1
+            elif len(steps) > bound:
+                raise InternalInconsistencyError("raising word exceeds the weight height")
+            for j in range(1, self._n + 1):
+                y = self.e(j, x)
+                if y is not None:
+                    break
+            else:
+                raise StrippingStuckError(f"every raising operator vanishes at {self.key(x)}")
+            steps.append((j, x))
+            x = y
+        return steps, x
+
     def strip_to_head(self, b: BInfElement) -> list[int]:
         """Raising word (first applied index first) taking b to the head."""
         self._own(b)
-        word, x = [], b
-        bound = -sum(self.wt(b)) + 1
-        while x.entries:
-            if len(word) > bound:
-                raise InternalInconsistencyError("raising word exceeds the weight height")
-            step = self._steps.get(x.entries)
-            if step is None:
-                for j in range(1, self._n + 1):
-                    y = self.e(j, x)
-                    if y is not None:
-                        step = self._steps[x.entries] = (j, y)
-                        break
-                else:
-                    raise StrippingStuckError(f"every raising operator vanishes at {self.key(x)}")
-            word.append(step[0])
-            x = step[1]
-        return word
+        return [j for j, _ in self._walk(b)[0]]
 
     def transport(self, b: BInfElement, target: "BInfinityCrystal") -> BInfElement:
         """Image of b under the canonical isomorphism onto another realization.
 
-        Strips b to the head, then replays the recorded lowering word in
-        the target realization (in reverse application order).  The image
-        of every element along the strip is memoized per target iota, so a
-        word suffix shared with an earlier transport is replayed once.
+        Walks b up to the head or to the first element with a memoized image,
+        then replays the word as lowerings in the target, memoizing each image.
         """
         self._own(b)
         if target.datum != self.datum:
             raise InputError("target realization lives over a different datum")
-        self.strip_to_head(b)
-        images, chain, x = self._images.setdefault(target.iota, {}), [], b
-        while x.entries and x.entries not in images:
-            chain.append(x)
-            x = self._steps[x.entries][1]
+        images = self._images.setdefault(target.iota, {})
+        steps, x = self._walk(b, images)
         z = images[x.entries] if x.entries else target.highest_weight()
-        for x in reversed(chain):
-            z = images[x.entries] = target.f(self._steps[x.entries][0], z)
+        for j, x in reversed(steps):
+            z = images[x.entries] = target.f(j, z)
         return z
 
     def _i_first(self, b: BInfElement, i: int) -> tuple["BInfinityCrystal", BInfElement, int]:
@@ -383,8 +381,7 @@ class BInfinityCrystal(Crystal):
         target.gap_events = self.gap_events
 
         def psi(b: BInfElement) -> TensorElement:
-            left, right = self.psi_embed(b, i)
-            return TensorElement(left, right)
+            return TensorElement(*self.psi_embed(b, i))
 
         return psi, target
 

@@ -87,32 +87,32 @@ def verify_axioms(crystal: Crystal, elements) -> list[Violation]:
     elems = list(elements)
     members = set(elems)
     violations: list[Violation] = []
+    per_index = [(datum.is_real(i), datum.a(i, i), simple_root(n, i), tuple(-a for a in simple_root(n, i)))
+                 for i in range(1, n + 1)]
 
     def report(b, i, rule, detail):
         violations.append(Violation(crystal.key(b), i, rule, detail))
 
     for b in elems:
         wt_b = _checked(crystal, "wt", b)
-        for i in range(1, n + 1):
+        for i, (real, aii, up, down) in enumerate(per_index, 1):
             eps_b = _checked(crystal, "eps", i, b)
             phi_b = _checked(crystal, "phi", i, b)
             eb = _checked(crystal, "e", i, b)
             fb = _checked(crystal, "f", i, b)
-            aii = datum.a(i, i)
 
             if phi_b != eps_b + pairing(datum, i, wt_b):
                 report(b, i, "(iii)", f"phi={phi_b} but eps+<h_i,wt>={eps_b + pairing(datum, i, wt_b)}")
-            for image, sign, wt_rule, step_rule, wt_detail in (
-                    (eb, 1, "(i)", "(v)", "wt(e_i b) != wt(b) + alpha_i"),
-                    (fb, -1, "(ii)", "(vi)", "wt(f_i b) != wt(b) - alpha_i")):
+            for image, sign, shift, wt_rule, step_rule, wt_detail in (
+                    (eb, 1, up, "(i)", "(v)", "wt(e_i b) != wt(b) + alpha_i"),
+                    (fb, -1, down, "(ii)", "(vi)", "wt(f_i b) != wt(b) - alpha_i")):
                 if image is None:
                     continue
-                shift = tuple(sign * a for a in simple_root(n, i))
                 if _checked(crystal, "wt", image) != add_weights(wt_b, shift):
                     report(b, i, wt_rule, wt_detail)
                 eps_x = _checked(crystal, "eps", i, image)
                 phi_x = _checked(crystal, "phi", i, image)
-                if datum.is_real(i):
+                if real:
                     if eps_x != eps_b - sign:
                         report(b, i, step_rule, f"real eps jump: {eps_b} -> {eps_x}")
                     if phi_x != phi_b + sign:

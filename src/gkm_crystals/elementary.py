@@ -34,6 +34,7 @@ class ElementaryCrystal(Crystal):
         datum.check_index(index)
         self.datum = datum
         self.index = index
+        self._real, self._aii = datum.is_real(index), datum.a(index, index)
 
     def element(self, level: int) -> ElementaryElement:
         return ElementaryElement(self.index, level)
@@ -52,16 +53,14 @@ class ElementaryCrystal(Crystal):
         self.datum.check_index(i)
         if i != self.index:
             return NEG_INF
-        return b.level if self.datum.is_real(i) else 0
+        return b.level if self._real else 0
 
     def phi(self, i: int, b: ElementaryElement):
         self._own(b)
         self.datum.check_index(i)
         if i != self.index:
             return NEG_INF
-        if self.datum.is_real(i):
-            return -b.level
-        return -b.level * self.datum.a(i, i)
+        return -b.level if self._real else -b.level * self._aii
 
     def e(self, i: int, b: ElementaryElement):
         self._own(b)

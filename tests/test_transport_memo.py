@@ -7,6 +7,7 @@ import pytest
 from gkm_crystals.binfinity import BInfElement, BInfinityCrystal, IotaSequence
 from gkm_crystals.cartan import validate_datum
 from gkm_crystals.elementary import ElementaryElement
+from gkm_crystals.errors import InternalInconsistencyError, StrippingStuckError
 
 # The acceptance gate's cross-check matrices plus its gap matrix.
 MATRICES = [
@@ -19,6 +20,7 @@ MATRICES = [
     [[-2, -1], [-1, 2]],
 ]
 DEPTH = 4
+M3 = validate_datum([[2, -1, 0], [-1, 0, -1], [0, -1, 2]])
 
 
 def iotas(n):
@@ -86,3 +88,44 @@ def test_memoized_transport_matches_strip_and_replay(matrix):
                 residual, factor = psi_by_hand(datum, b, i)
                 assert warm["psi", b, i] == (residual, factor)
                 assert warm["eps_star", b, i] == factor.level
+
+
+# The two public walks from b: a strip to the head and a transport to the reversed realization.
+WALKS = {
+    "strip_to_head": lambda c, b: c.strip_to_head(b),
+    "transport": lambda c, b: c.transport(b, c.realization_with(IotaSequence((3, 2, 1)))),
+}
+
+
+@pytest.mark.parametrize("walk", WALKS.values(), ids=WALKS.keys())
+def test_raising_step_that_stays_put_trips_the_height_bound(monkeypatch, walk):
+    c = BInfinityCrystal(M3)
+    b = c.f(3, c.f(2, c.f(1, c.highest_weight())))
+    monkeypatch.setattr(c, "e", lambda i, x: x)  # every e_j returns its own non-head argument
+    with pytest.raises(InternalInconsistencyError, match="^raising word exceeds the weight height$"):
+        walk(c, b)
+
+
+@pytest.mark.parametrize("walk", WALKS.values(), ids=WALKS.keys())
+def test_every_raising_operator_vanishing_is_stuck(monkeypatch, walk):
+    c = BInfinityCrystal(M3)
+    b = c.f(3, c.f(2, c.f(1, c.highest_weight())))
+    monkeypatch.setattr(c, "e", lambda i, x: None)
+    with pytest.raises(StrippingStuckError, match=f"^every raising operator vanishes at {c.key(b)}$"):
+        walk(c, b)
+
+
+@pytest.mark.parametrize("dst_iota", [IotaSequence((3, 2, 1)), IotaSequence.cyclic(3).i_first(2)],
+                         ids=["reversed", "2-first"])
+def test_warm_transport_reads_only_records(monkeypatch, dst_iota):
+    src = BInfinityCrystal(M3)
+    dst = src.realization_with(dst_iota)
+    window = src.enumerate_to_depth(5)[0]
+    cold = [src.transport(b, dst) for b in window]
+    calls = []
+    for name in ("_scan", "wt"):
+        original = getattr(BInfinityCrystal, name)
+        monkeypatch.setattr(BInfinityCrystal, name,
+                            lambda self, *args, name=name, original=original: calls.append(name) or original(self, *args))
+    assert [src.transport(b, dst) for b in window] == cold
+    assert calls == []  # every element has its image, so no walk takes a step
