@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .cartan import BorcherdsCartanDatum, Weight
 from .crystal import Crystal, Violation, check_strict_morphism, reachable
 from .elementary import ElementaryCrystal, ElementaryElement
-from .errors import InputError, InternalInconsistencyError, StrippingStuckError
+from .errors import InputError, InternalInconsistencyError
 from .tensor import TensorCrystal, TensorElement, route
 
 _UNSET = object()  # a record slot not yet computed
@@ -326,7 +326,7 @@ class BInfinityCrystal(Crystal):
                 if y is not None:
                     break
             else:
-                raise StrippingStuckError(f"every raising operator vanishes at {self.key(x)}")
+                raise InternalInconsistencyError(f"every raising operator vanishes at {self.key(x)}")
             steps.append((j, x))
             x = y
         return steps, x

@@ -164,10 +164,6 @@ def cmd_verify(args) -> tuple[int, str]:
     return EXIT_FINDING if findings else EXIT_OK, "".join(out)
 
 
-def _format_q(x) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def cmd_geom(args) -> tuple[int, str]:
     rep = load_rep(_read_file(args.rep))
     nv = rep.quiver.vertex_count
@@ -180,7 +176,7 @@ def cmd_geom(args) -> tuple[int, str]:
         out.append("flag: not found (rational search)\n")
     else:
         rendered = ", ".join(
-            f"(v{vertex}, [{', '.join(_format_q(x) for x in vec)}])" for vertex, vec in witness.steps
+            f"(v{vertex}, [{', '.join(map(str, vec))}])" for vertex, vec in witness.steps
         )
         out.append(f"flag: found {rendered}\n")
     verdicts = regular_semisimple_verdicts(rep)

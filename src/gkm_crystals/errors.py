@@ -27,10 +27,6 @@ class EvaluationFailureError(GkmError):
     """A crystal map could not be evaluated on a supplied element."""
 
 
-class StrippingStuckError(GkmError):
-    """No raising operator applies to an element that is not the head."""
-
-
 class InternalInconsistencyError(GkmError):
     """Two routes to the same quantity disagreed. Must never fire."""
 

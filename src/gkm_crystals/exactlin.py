@@ -1,10 +1,12 @@
 """Small exact linear algebra over the rationals.
 
-Matrices carry explicit shapes so zero-dimensional edge cases stay well
-defined.  A subspace is an `EchelonBasis`: its reduced row echelon basis,
-grown one vector at a time, which answers membership and, with rows
-augmented by unit vectors, coordinates.  Because that basis is unique,
-`rref` and `nullspace` are one-shot uses of it.
+A `RatMat` is an operator with an explicit shape, so zero-dimensional
+edge cases stay well defined; it has only what the geometry calls:
+images of row vectors, products, the transpose and a zero test.  A
+subspace is an `EchelonBasis`: its reduced row echelon basis, grown one
+vector at a time, which answers membership and, with rows augmented by
+unit vectors, coordinates.  Because that basis is unique, `rref` and
+`nullspace` are one-shot uses of it, and both take rows and a width.
 
 Values enter and leave as `Fraction`s (only int and Fraction entries are
 accepted), but the kernels run on ints: echelon rows, products and the
@@ -70,33 +72,9 @@ class RatMat:
         c = (len(ent[0]) if ent else 0) if ncols is None else ncols
         return cls(r, c, ent)
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "RatMat":
-        return cls(nrows, ncols, tuple(tuple(Q(0) for _ in range(ncols)) for _ in range(nrows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMat":
-        return cls(n, n, tuple(tuple(Q(1 if i == j else 0) for j in range(n)) for i in range(n)))
-
     @cached_property
     def _int_rows(self) -> list[tuple[list[int], int]]:
         return [_clear(r) for r in self.entries]
-
-    def __add__(self, other: "RatMat") -> "RatMat":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in addition")
-        return RatMat(self.nrows, self.ncols,
-                      tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "RatMat":
-        return self.scale(Q(-1))
-
-    def __sub__(self, other: "RatMat") -> "RatMat":
-        return self + (-other)
-
-    def scale(self, c) -> "RatMat":
-        c = _rat(c)
-        return RatMat(self.nrows, self.ncols, tuple(tuple(c * a for a in r) for r in self.entries))
 
     def __matmul__(self, other: "RatMat") -> "RatMat":
         if self.ncols != other.nrows:
@@ -107,11 +85,6 @@ class RatMat:
     def transpose(self) -> "RatMat":
         ent = tuple(tuple(self.entries[r][c] for r in range(self.nrows)) for c in range(self.ncols))
         return RatMat(self.ncols, self.nrows, ent)
-
-    def trace(self) -> Q:
-        if self.nrows != self.ncols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.nrows)), Q(0))
 
     def apply_rows(self, rows) -> list[Vec]:
         """Apply the operator to row vectors: column convention, v -> (M v^T)^T."""
@@ -200,13 +173,13 @@ def rref(rows, width: int):
     return basis.rows, basis.pivots
 
 
-def nullspace(m: RatMat) -> list[Vec]:
-    """Canonical basis of {x : m @ x = 0} (column-vector kernel, returned as rows)."""
-    basis, pivots = rref(m.entries, m.ncols)
-    free = [c for c in range(m.ncols) if c not in pivots]
+def nullspace(rows, width: int) -> list[Vec]:
+    """Canonical basis of the vectors x in Q^width with a . x = 0 for every row a."""
+    basis, pivots = rref(rows, width)
+    free = [c for c in range(width) if c not in pivots]
     out: list[Vec] = []
     for fc in free:
-        v = [Q(0)] * m.ncols
+        v = [Q(0)] * width
         v[fc] = Q(1)
         for r, pc in enumerate(pivots):
             v[pc] = -basis[r][fc]

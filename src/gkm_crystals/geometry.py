@@ -113,13 +113,13 @@ def moment_map(rep: QuiverRep, i: int) -> RatMat:
     if not 1 <= i <= rep.quiver.vertex_count:
         raise InputError(f"vertex {i} out of range")
     d = rep.dims[i - 1]
-    acc = RatMat.zeros(d, d)
+    acc = [[Q(0)] * d for _ in range(d)]
     for k, arrow in enumerate(rep.quiver.arrows):
-        if arrow.source != i:
-            continue
-        term = rep.mats[rep.quiver.partner(k)] @ rep.mats[k]
-        acc = acc + (term if arrow.in_omega else -term)
-    return acc
+        if arrow.source == i:
+            sign = 1 if arrow.in_omega else -1
+            term = rep.mats[rep.quiver.partner(k)] @ rep.mats[k]
+            acc = [[a + sign * b for a, b in zip(row, t)] for row, t in zip(acc, term.entries)]
+    return RatMat(d, d, tuple(map(tuple, acc)))
 
 
 def moment_map_check(rep: QuiverRep) -> bool:
@@ -175,10 +175,6 @@ def eps_point(rep: QuiverRep, i: int) -> int:
     return d - len(_closure([EchelonBasis(d, rows)], loops)[0])
 
 
-def _kernel(rows: list[Vec], width: int) -> list[Vec]:
-    return nullspace(RatMat.from_rows(rows, nrows=len(rows), ncols=width))
-
-
 def eps_star_point(rep: QuiverRep, i: int) -> int:
     """eps_i of the adjoint representation, cross-checked by a kernel iteration.
 
@@ -192,10 +188,10 @@ def eps_star_point(rep: QuiverRep, i: int) -> int:
     d = rep.dims[i - 1]
     rows = [r for k, a in enumerate(rep.quiver.arrows) if a.source == i and a.target != i for r in rep.mats[k].entries]
     loops = [rep.mats[k].transpose() for k in _loop_positions_at(rep, i)]
-    space = _kernel(rows, d)
+    space = nullspace(rows, d)
     while space:
-        annihilator = _kernel(space, d)  # T x lies in K exactly when a T x = 0 for each row a
-        shrunk = _kernel(rows + [r for t in loops for r in t.apply_rows(annihilator)], d)
+        annihilator = nullspace(space, d)  # T x lies in K exactly when a T x = 0 for each row a
+        shrunk = nullspace(rows + [r for t in loops for r in t.apply_rows(annihilator)], d)
         if len(shrunk) == len(space):
             break
         space = shrunk
@@ -269,12 +265,12 @@ def _triangularize(ops: list[RatMat], upper: list[Vec], lower: list[Vec], width:
     grown = list(lower)
     while comp:
         induced = _induced_ops(ops, comp, grown, width)
-        identity = RatMat.identity(len(comp))
         prefixes: list[tuple[list[Vec], list[Vec]]] = [([], [])]  # (stacked rows, joint kernel)
         for t in induced:
-            roots = rational_roots(charpoly(t))
-            extended = (rows + list((t - identity.scale(lam)).entries) for rows, _ in prefixes for lam in roots)
-            prefixes = [(rows, kernel) for rows in extended if (kernel := _kernel(rows, len(comp)))]
+            shifts = [[tuple(x - lam if a == b else x for b, x in enumerate(row)) for a, row in enumerate(t.entries)]
+                      for lam in rational_roots(charpoly(t))]  # built once per root, shared by every prefix
+            extended = (rows + shifted for rows, _ in prefixes for shifted in shifts)
+            prefixes = [(rows, kernel) for rows in extended if (kernel := nullspace(rows, len(comp)))]
             if not prefixes:
                 return None
         w = prefixes[0][1][0]

@@ -315,6 +315,15 @@ def test_geom_tripwire_exits_four(files, capsys, monkeypatch):
     assert _one_line_internal_error(capsys)
 
 
+def test_geom_flag_verification_tripwire_exits_four(files, capsys, monkeypatch):
+    monkeypatch.setattr(geometry, "verify_flag", lambda rep, witness: ["planted fault"])
+    assert cli.main(["geom", "--rep", files["rep.json"]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: InternalInconsistencyError: "
+                            "constructed flag fails verification: planted fault\n")
+
+
 def test_verify_psi_tripwire_exits_four(files, capsys, monkeypatch):
     # A tripwire inside a strict-embedding check ends the run; it is not a finding.
     def tripped(self, b, i):

@@ -25,6 +25,10 @@ from gkm_crystals.exactlin import (
 from gkm_crystals.oracle import Laurent, laurent_rank
 
 
+def _identity(n: int) -> RatMat:
+    return RatMat.from_rows([[int(i == j) for j in range(n)] for i in range(n)], nrows=n, ncols=n)
+
+
 def test_ratmat_shape_checks():
     with pytest.raises(ValueError):
         RatMat(2, 2, ((Q(1),),))
@@ -37,17 +41,11 @@ def test_ratmat_shape_checks():
 
 def test_ratmat_arithmetic():
     a = RatMat.from_rows([[1, 2], [3, 4]])
-    b = RatMat.identity(2)
-    assert (a - a).is_zero()
-    assert (a + (-a)).is_zero()
+    b = _identity(2)
     assert (a @ b).entries == a.entries
-    assert a.scale(Q(1, 2)).entries[0] == (Q(1, 2), Q(1))
     assert a.transpose().entries == ((Q(1), Q(3)), (Q(2), Q(4)))
-    assert a.trace() == 5
     with pytest.raises(ValueError):
-        a @ RatMat.identity(3)
-    with pytest.raises(ValueError):
-        a + RatMat.identity(3)
+        a @ _identity(3)
 
 
 def test_matmul_zero_dimensions():
@@ -78,8 +76,8 @@ def test_apply_rows_rejects_a_length_mismatch():
 
 @pytest.mark.parametrize("build", [
     lambda: RatMat.from_rows([[0.1]]),
-    lambda: RatMat.identity(2).scale(0.5),
-    lambda: RatMat.identity(2).apply_rows([(1.0, 0)]),
+    lambda: nullspace([(0.5, 1)], 2),
+    lambda: _identity(2).apply_rows([(1.0, 0)]),
     lambda: EchelonBasis(2, [(1.5, 0)]),
     lambda: EchelonBasis(2).reduce((0, 0.5)),
     lambda: (0.5, 0) in EchelonBasis(2),
@@ -173,12 +171,12 @@ def test_echelon_basis_against_fraction_free_rank():
 
 
 def test_nullspace():
-    ker = nullspace(RatMat.from_rows([[1, 2]]))
+    ker = nullspace([[1, 2]], 2)
     assert len(ker) == 1
     x, y = ker[0]
     assert x + 2 * y == 0 and (x, y) != (0, 0)
-    assert nullspace(RatMat.identity(2)) == []
-    assert len(nullspace(RatMat.zeros(2, 3))) == 3
+    assert nullspace([(1, 0), (0, 1)], 2) == []
+    assert len(nullspace([(0, 0, 0)] * 2, 3)) == 3
 
 
 def test_charpoly():
@@ -378,7 +376,6 @@ def test_echelon_basis_matches_fraction_reference(case, data):
 @KERNEL_SETTINGS
 def test_nullspace_matches_fraction_reference(case):
     width, rows = case
-    m = RatMat.from_rows(rows, nrows=len(rows), ncols=width)
     ref_rows, ref_pivots = _ref_rref(rows, width)
     expected = []
     for fc in (c for c in range(width) if c not in ref_pivots):
@@ -386,8 +383,8 @@ def test_nullspace_matches_fraction_reference(case):
         for r, pc in zip(ref_rows, ref_pivots):
             v[pc] = -r[fc]
         expected.append(tuple(v))
-    assert nullspace(m) == expected
-    assert all(not any(_ref_apply(m.entries, v)) for v in expected)
+    assert nullspace(rows, width) == expected
+    assert all(not any(_ref_apply(rows, v)) for v in expected)
 
 
 @st.composite

@@ -47,6 +47,12 @@ def one_loop_rep(omega_rows, bar_rows) -> QuiverRep:
     return QuiverRep(ONE_LOOP, (2,), (RatMat.from_rows(omega_rows), RatMat.from_rows(bar_rows)))
 
 
+def _scalar(c, nrows: int, ncols: int | None = None) -> RatMat:
+    """c on the diagonal and zero elsewhere: the zero matrix of any shape when c = 0."""
+    ncols = nrows if ncols is None else ncols
+    return RatMat.from_rows([[c * (i == j) for j in range(ncols)] for i in range(nrows)], nrows=nrows, ncols=ncols)
+
+
 def test_load_rep_and_validation():
     rep = pinned_rep()
     assert rep.dims == (2, 1)
@@ -77,8 +83,8 @@ def test_fraction_entries_parse():
 
 def test_shape_mismatch_rejected():
     with pytest.raises(InputError, match=r"^matrix h3 has shape \(1, 1\), expected \(2, 1\)$"):
-        QuiverRep(LOOP_QUIVER, (2, 1), (RatMat.zeros(2, 2), RatMat.zeros(1, 2),
-                                        RatMat.zeros(2, 2), RatMat.zeros(1, 1)))
+        QuiverRep(LOOP_QUIVER, (2, 1), (_scalar(0, 2), _scalar(0, 1, 2),
+                                        _scalar(0, 2), _scalar(0, 1)))
 
 
 def test_star_rep_transposes_partners():
@@ -102,6 +108,71 @@ def test_moment_map_vanishing():
 def test_moment_map_rejects_vertex_out_of_range(i):
     with pytest.raises(InputError):
         moment_map(pinned_rep(), i)
+
+
+def _reference_moment_map(rep: QuiverRep, i: int) -> tuple[tuple[Q, ...], ...]:
+    """sum over arrows h leaving i of sign(h) * B_hbar B_h, by nested loops over Fractions."""
+    d = rep.dims[i - 1]
+    acc = [[Q(0)] * d for _ in range(d)]
+    for k, arrow in enumerate(rep.quiver.arrows):
+        if arrow.source != i:
+            continue
+        sign = 1 if arrow.in_omega else -1
+        b, b_bar = rep.mats[k].entries, rep.mats[rep.quiver.partner(k)].entries
+        for r in range(d):
+            for c in range(d):
+                for t in range(rep.dims[arrow.target - 1]):
+                    acc[r][c] += sign * b_bar[r][t] * b[t][c]
+    return tuple(map(tuple, acc))
+
+
+_MOMENT_QUIVERS = [
+    [(1, 1)],
+    [(1, 1), (1, 2)],
+    [(1, 1), (1, 1), (2, 1), (2, 3)],
+    [(1, 2), (2, 2), (2, 3), (3, 1), (3, 3)],
+]
+
+
+def test_moment_map_matches_the_nested_loop_reference():
+    # Each quiver has loops and one more vertex than its arrows touch, which
+    # no arrow leaves.  Dimensions run over 0..3.  Half the reps are random;
+    # in the others each loop equals its reversal and of each non-loop pair
+    # only one arrow is nonzero, so the moment map vanishes everywhere.
+    rng = random.Random(20081030)
+    empty = isolated = vanishing = nonvanishing = 0
+    for n in range(240):
+        omega = _MOMENT_QUIVERS[n % len(_MOMENT_QUIVERS)]
+        quiver = Quiver.from_omega_arrows(max(map(max, omega)) + 1, omega)
+        dims = tuple(rng.randint(0, 3) for _ in range(quiver.vertex_count))
+        entry = lambda: Q(rng.choice((0, 0, -1, 1, 2, -3)), rng.choice((1, 1, 2, 5)))
+        grids = [[[entry() for _ in range(dims[a.source - 1])] for _ in range(dims[a.target - 1])]
+                 for a in quiver.arrows]
+        if n % 2:
+            m = len(omega)
+            for k, (s, t) in enumerate(omega):
+                if s == t:
+                    grids[k + m] = grids[k]
+                else:
+                    j = k + m * rng.randint(0, 1)
+                    grids[j] = [[Q(0)] * len(row) for row in grids[j]]
+        mats = tuple(RatMat.from_rows(g, nrows=dims[a.target - 1], ncols=dims[a.source - 1])
+                     for a, g in zip(quiver.arrows, grids))
+        rep = QuiverRep(quiver, dims, mats)
+        want = [_reference_moment_map(rep, i) for i in range(1, quiver.vertex_count + 1)]
+        for i, ref in enumerate(want, 1):
+            got = moment_map(rep, i)
+            assert (got.nrows, got.ncols) == (dims[i - 1], dims[i - 1])
+            assert got.entries == ref, (n, i, rep)
+            assert all(type(x) is Q for row in got.entries for x in row)
+        zero = all(x == 0 for ref in want for row in ref for x in row)
+        assert moment_map_check(rep) == zero, (n, rep)
+        assert zero or n % 2 == 0
+        empty += dims.count(0)
+        isolated += dims[-1] > 0
+        vanishing += zero
+        nonvanishing += not zero
+    assert empty >= 150 and isolated >= 150 and vanishing >= 150 and nonvanishing >= 50
 
 
 def test_regular_semisimple():
@@ -154,7 +225,7 @@ def test_flag_needs_triangularizable_weak_loop():
 
 
 def test_flag_dimension_bound():
-    rep = QuiverRep(ONE_LOOP, (7,), (RatMat.zeros(7, 7), RatMat.zeros(7, 7)))
+    rep = QuiverRep(ONE_LOOP, (7,), (_scalar(0, 7), _scalar(0, 7)))
     with pytest.raises(InputError, match="^total dimension 7 exceeds the bound 6$"):
         flag_exists(rep)
 
@@ -177,6 +248,19 @@ def test_verify_flag_blames_faults():
     assert any("bad vertex" in f for f in verify_flag(rep, malformed))
 
 
+def test_induced_ops_tripwire_fires_when_an_operator_leaves_the_space():
+    # e_1 -> e_2 maps the complement vector e_1 out of span(e_1) + span(lower = {}).
+    shift = RatMat.from_rows([[0, 0], [1, 0]])
+    with pytest.raises(InternalInconsistencyError, match="^operator leaves an invariant space it must preserve$"):
+        geometry._induced_ops([shift], _units(2)[:1], [], 2)
+
+
+def test_flag_exists_tripwire_fires_when_its_flag_fails_verification(monkeypatch):
+    monkeypatch.setattr(geometry, "verify_flag", lambda rep, witness: ["planted fault"])
+    with pytest.raises(InternalInconsistencyError, match="^constructed flag fails verification: planted fault$"):
+        flag_exists(pinned_rep())
+
+
 def test_flag_search_stops_after_one_candidate(monkeypatch):
     # diag(1, 1) + a plane rotation: the 1-eigenspace has two basis vectors,
     # and the quotient by either keeps the rotation, which has no rational
@@ -184,9 +268,9 @@ def test_flag_search_stops_after_one_candidate(monkeypatch):
     calls = []
     real_nullspace = geometry.nullspace
 
-    def counting(m):
-        calls.append(m)
-        return real_nullspace(m)
+    def counting(rows, width):
+        calls.append(rows)
+        return real_nullspace(rows, width)
 
     monkeypatch.setattr(geometry, "nullspace", counting)
     op = RatMat.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
@@ -201,7 +285,7 @@ def test_flag_takes_weak_loops_in_arrow_order():
     # and e_2.
     quiver = Quiver.from_omega_arrows(2, [(1, 1), (1, 2), (2, 1), (2, 2), (1, 1)])
     assert quiver.weak_positions() == (5, 8, 9)
-    mats = [RatMat.zeros((2, 0)[a.target - 1], (2, 0)[a.source - 1]) for a in quiver.arrows]
+    mats = [_scalar(0, (2, 0)[a.target - 1], (2, 0)[a.source - 1]) for a in quiver.arrows]
     mats[5], mats[9] = RatMat.from_rows([[1, 0], [0, 2]]), RatMat.from_rows([[4, 0], [0, 3]])
     witness = flag_exists(QuiverRep(quiver, (2, 0), tuple(mats)))
     assert witness.steps == ((1, (Q(1), Q(0))), (1, (Q(0), Q(1))))
@@ -217,13 +301,13 @@ def test_flag_search_work_is_linear_in_the_weak_loops(monkeypatch):
     quiver = Quiver.from_omega_arrows(1, [(1, 1)] * k)
     assert quiver.weak_positions() == tuple(range(k, 2 * k))
     diag, swap = RatMat.from_rows([[1, 0], [0, 2]]), RatMat.from_rows([[0, 1], [1, 0]])
-    mats = [RatMat.zeros(2, 2)] * k + [swap if h == k + 1 else diag for h in range(k, 2 * k)]
+    mats = [_scalar(0, 2)] * k + [swap if h == k + 1 else diag for h in range(k, 2 * k)]
     calls = []
     real_nullspace = geometry.nullspace
 
-    def counting(m):
-        calls.append(m)
-        return real_nullspace(m)
+    def counting(rows, width):
+        calls.append(rows)
+        return real_nullspace(rows, width)
 
     monkeypatch.setattr(geometry, "nullspace", counting)
     assert flag_exists(QuiverRep(quiver, (2,), tuple(mats))) is None
@@ -259,7 +343,7 @@ def test_flag_found_on_large_spectra(seed):
               for j in range(3)] for i in range(3)]
         return u @ RatMat.from_rows(t) @ u_inv
 
-    zero = RatMat.zeros(3, 3)
+    zero = _scalar(0, 3)
     down = u1 @ RatMat.from_rows([[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]) @ u2_inv
     rep = QuiverRep(quiver, (3, 3), (zero, zero, zero, weak_loop(u1, u1_inv), weak_loop(u2, u2_inv), down))
     witness = flag_exists(rep)
@@ -287,7 +371,7 @@ def _loop_algebra_kernel_dim(rep: QuiverRep, i: int) -> int:
     def flat(m):
         return tuple(x for row in m.entries for x in row)
 
-    algebra = [RatMat.identity(d)]
+    algebra = [_scalar(1, d)]
     span = EchelonBasis(d * d, [flat(algebra[0])])
     frontier = list(algebra)
     while frontier:
@@ -295,7 +379,7 @@ def _loop_algebra_kernel_dim(rep: QuiverRep, i: int) -> int:
         algebra.extend(frontier)
     stacked = [row for k, a in enumerate(arrows) if a.source == i != a.target
                for b in algebra for row in (rep.mats[k] @ b).entries]
-    return len(nullspace(RatMat.from_rows(stacked, nrows=len(stacked), ncols=d)))
+    return len(nullspace(stacked, d))
 
 
 _KERNEL_QUIVERS = [
@@ -320,7 +404,7 @@ def test_eps_star_kernel_iteration_matches_the_loop_algebra_formula():
         quiver = Quiver.from_omega_arrows(max(map(max, _KERNEL_QUIVERS[n % 5])), _KERNEL_QUIVERS[n % 5])
         dims = tuple(rng.randint(1, 3) if v == 0 else rng.randint(0, 2) for v in range(quiver.vertex_count))
         d, r, structured = dims[0], rng.randint(1, max(dims[0] - 1, 1)), n % 4 != 0
-        u, u_inv = _unimodular(rng, d) if d > 1 else (RatMat.identity(d),) * 2
+        u, u_inv = _unimodular(rng, d) if d > 1 else (_scalar(1, d),) * 2
         mats = []
         for arrow in quiver.arrows:
             s, t = arrow.source - 1, arrow.target - 1
@@ -328,7 +412,7 @@ def test_eps_star_kernel_iteration_matches_the_loop_algebra_formula():
                                    else rng.choice((0, 0, 0, -1, 1, 2)) for b in range(dims[s])]
                                   for a in range(dims[t])], nrows=dims[t], ncols=dims[s])
             if structured:
-                m = (u if t == 0 else RatMat.identity(dims[t])) @ m @ (u_inv if s == 0 else RatMat.identity(dims[s]))
+                m = (u if t == 0 else _scalar(1, dims[t])) @ m @ (u_inv if s == 0 else _scalar(1, dims[s]))
             mats.append(m)
         rep = QuiverRep(quiver, dims, tuple(mats))
         for i in range(1, quiver.vertex_count + 1):
@@ -372,8 +456,8 @@ def _recursive_triangularize(ops: list[RatMat], q: int):
     for combo in product(*root_lists):
         stacked = []
         for t, lam in zip(ops, combo):
-            stacked.extend((t - RatMat.identity(q).scale(lam)).entries)
-        kernel = nullspace(RatMat.from_rows(stacked, nrows=len(stacked), ncols=q))
+            stacked.extend(tuple(x - lam * (a == b) for b, x in enumerate(row)) for a, row in enumerate(t.entries))
+        kernel = nullspace(stacked, q)
         if kernel:
             cand = kernel[0]
             acc = EchelonBasis(q, [cand])
@@ -463,7 +547,7 @@ def _scrambled_rep(rng: random.Random, name: str, kind: str) -> QuiverRep:
                 for y, b in enumerate(first):
                     m[a][b] = block[x][y]
         mats.append(m)
-    bases = [_unimodular(rng, d) if d > 1 else (RatMat.identity(d),) * 2 for d in dims]
+    bases = [_unimodular(rng, d) if d > 1 else (_scalar(1, d),) * 2 for d in dims]
     conj = [bases[a.target - 1][0] @ RatMat.from_rows(m, nrows=dims[a.target - 1], ncols=dims[a.source - 1])
             @ bases[a.source - 1][1] for a, m in zip(quiver.arrows, mats)]
     return QuiverRep(quiver, tuple(dims), tuple(conj))
