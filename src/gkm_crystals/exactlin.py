@@ -8,9 +8,13 @@ vector at a time, which answers membership and, with rows augmented by
 unit vectors, coordinates.  Because that basis is unique, `rref` and
 `nullspace` are one-shot uses of it, and both take rows and a width.
 
-Values enter and leave as `Fraction`s (only int and Fraction entries are
+Vectors enter and leave as `Fraction`s (only int and Fraction entries are
 accepted), but the kernels run on ints: echelon rows, products and the
 characteristic polynomial work on vectors cleared of denominators.
+
+Polynomials, highest degree first, leave as coprime integers (`charpoly`),
+and one Sturm sequence of primitive remainders serves `is_squarefree` and
+`rational_roots`, which take int or Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -187,15 +191,16 @@ def nullspace(rows, width: int) -> list[Vec]:
     return out
 
 
-def charpoly(m: RatMat) -> list[Q]:
-    """Monic characteristic polynomial, highest degree first (Le Verrier).
+def charpoly(m: RatMat) -> list[int]:
+    """Characteristic polynomial in primitive form, highest degree first (Le Verrier).
 
     Runs on the integer matrix a = D*m, D the lcm of the entries'
     denominators, whose coefficients c_k are integers: Newton's identities
     k c_k = -(s_k + c_1 s_(k-1) + ... + c_(k-1) s_1) over the power traces
     s_k = tr(a^k) divide exactly, and an inexact division is a tripwire.
     tr(a^k) pairs a^ceil(k/2) with a^floor(k/2), so no higher power is
-    formed.  Coefficient k of m is c_k / D^k.
+    formed.  D^n chi_m has the integer coefficients c_k D^(n-k); the result
+    is that polynomial divided by its content, with leading coefficient > 0.
     """
     n = m.nrows
     if n != m.ncols:
@@ -213,45 +218,20 @@ def charpoly(m: RatMat) -> list[Q]:
         if rem:
             raise InternalInconsistencyError(f"Newton's identity {k} does not divide exactly")
         coeffs.append(ck)
-    return [Q(c, den ** k) for k, c in enumerate(coeffs)]
+    return _primitive([c * den ** (n - k) for k, c in enumerate(coeffs)])
 
 
-def poly_eval(p, x) -> Q:
-    acc = Q(0)
-    for c in p:
-        acc = acc * x + c
-    return acc
-
-
-def poly_deriv(p) -> list[Q]:
+def poly_deriv(p) -> list:
     n = len(p) - 1
     return [c * (n - k) for k, c in enumerate(p[:-1])]
 
 
-def poly_gcd(a, b) -> list[Q]:
-    """Monic gcd, highest degree first; the zero polynomial is [].
-
-    Euclid runs on primitive integer pseudo-remainders, positive multiples
-    of the true remainders, and the result is made monic at the end.
-    """
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _rem(a, b)
-    return [Q(c, a[0]) for c in a]
-
-
-def is_squarefree(p) -> bool:
-    if len(p) <= 2:
-        return True
-    return len(poly_gcd(p, poly_deriv(p))) <= 1
-
-
 def _primitive(p) -> list[int]:
     """The integer multiple c*p, c > 0, with coprime coefficients and no leading zeros."""
-    k = next((i for i, c in enumerate(p) if c != 0), len(p))
-    ints, _ = _clear(p[k:])
+    ints, _ = _clear(p)
     g = math.gcd(*ints)
-    return [c // g for c in ints]
+    k = next((i for i, c in enumerate(ints) if c), len(ints))
+    return [c // g for c in ints[k:]]
 
 
 def _rem(a: list[int], b: list[int]) -> list[int]:
@@ -264,17 +244,36 @@ def _rem(a: list[int], b: list[int]) -> list[int]:
     return _primitive(a)
 
 
-def _sign_changes(seq: list[list[int]], h: int) -> int:
-    """Sign changes along seq at h/2, zeros skipped; integer Horner on sum c_i h^(d-i) 2^i."""
-    changes, last = 0, 0
-    for s in seq:
-        acc = 0
-        for i, c in enumerate(s):
-            acc = acc * h + (c << i)
-        if acc:
-            changes += last * acc < 0
-            last = acc
-    return changes
+def _sturm(p: list[int]) -> list[list[int]]:
+    """Sturm sequence of a nonconstant integer p: p, p' and the negated primitive remainders.
+
+    Every member is a positive multiple of the true Sturm polynomial, so sign
+    counts are unchanged, and the last one is a multiple of gcd(p, p').
+    """
+    seq = [p, _primitive(poly_deriv(p))]
+    while len(seq[-1]) > 1:
+        r = _rem(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in r])
+    return seq
+
+
+def is_squarefree(p) -> bool:
+    p = _primitive(p)
+    return len(p) <= 2 or len(_sturm(p)[-1]) == 1
+
+
+def _horner(p: list[int], x: int) -> int:
+    acc = 0
+    for c in p:
+        acc = acc * x + c
+    return acc
+
+
+def _sign_changes(seq: list[list[int]], x: int) -> int:
+    signs = [v for v in (_horner(s, x) for s in seq) if v]  # zeros skipped
+    return sum(u * v < 0 for u, v in zip(signs, signs[1:]))
 
 
 def rational_roots(p) -> list[Q]:
@@ -284,40 +283,32 @@ def rational_roots(p) -> list[Q]:
     monic over the integers, so its rational roots are integers and y/a_0
     runs over those of p.  Sturm's theorem counts the distinct real roots of
     m between half-integers, which are never roots of m, so bisection down
-    to unit intervals isolates every integer candidate; each one is then
-    confirmed exactly on p.
+    to unit intervals isolates every integer candidate y; each one is kept
+    when m(y) = 0, exactly in ints.
     """
-    p = [_rat(c) for c in p]
-    k = next((i for i, c in enumerate(p) if c != 0), None)
-    if k is None:
-        raise ValueError("zero polynomial")
-    p = p[k:]
-    roots: set[Q] = set()
-    while len(p) > 1 and p[-1] == 0:
-        roots.add(Q(0))
-        p = p[:-1]
-    if len(p) == 1:
-        return sorted(roots)
     a = _primitive(p)
+    if not a:
+        raise ValueError("zero polynomial")
+    roots: set[Q] = set()
+    while a[-1] == 0:
+        roots.add(Q(0))
+        a.pop()
+    if len(a) == 1:
+        return sorted(roots)
     m = [1] + [c * a[0] ** (i - 1) for i, c in enumerate(a) if i]
-    seq = [m, _primitive(poly_deriv(m))]
-    while len(seq[-1]) > 1:
-        r = _rem(seq[-2], seq[-1])
-        if not r:
-            break
-        seq.append([-c for c in r])
+    halves = [[c << i for i, c in enumerate(s)] for s in _sturm(m)]  # 2^deg s(h/2), read at h
     edge = 2 * max(abs(c) for c in m) + 3  # m's roots lie in (-edge/2, edge/2)
-    stack = [(-edge, _sign_changes(seq, -edge), edge, _sign_changes(seq, edge))]
+    stack = [(-edge, _sign_changes(halves, -edge), edge, _sign_changes(halves, edge))]
     while stack:
         lo, v_lo, hi, v_hi = stack.pop()
         if v_lo == v_hi:
             continue
         if hi - lo == 2:
-            x = Q((lo + 1) // 2, a[0])
-            if poly_eval(p, x) == 0:
-                roots.add(x)
+            y = (lo + 1) // 2
+            if _horner(m, y) == 0:
+                roots.add(Q(y, a[0]))
             continue
         mid = lo + 2 * ((hi - lo) // 4)  # odd, like lo and hi
-        v_mid = _sign_changes(seq, mid)
+        v_mid = _sign_changes(halves, mid)
         stack += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
     return sorted(roots)

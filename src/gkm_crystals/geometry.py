@@ -27,6 +27,13 @@ DEFAULT_FLAG_DIM_BOUND = 6
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def _check_dims(dims, vertex_count: int) -> None:
+    if len(dims) != vertex_count:
+        raise InputError("dimension vector length does not match the vertex count")
+    if any(d < 0 for d in dims):
+        raise InputError("negative dimension")
+
+
 @dataclass(frozen=True)
 class QuiverRep:
     """Matrices B_h on a dimension vector, indexed by arrow declaration order."""
@@ -36,10 +43,7 @@ class QuiverRep:
     mats: tuple[RatMat, ...]
 
     def __post_init__(self) -> None:
-        if len(self.dims) != self.quiver.vertex_count:
-            raise InputError("dimension vector length does not match the vertex count")
-        if any(d < 0 for d in self.dims):
-            raise InputError("negative dimension")
+        _check_dims(self.dims, self.quiver.vertex_count)
         if len(self.mats) != len(self.quiver.arrows):
             raise InputError("matrix count does not match the arrow count")
         for k, arrow in enumerate(self.quiver.arrows):
@@ -79,6 +83,7 @@ def load_rep(source) -> QuiverRep:
     dims = data["dims"]
     if not isinstance(dims, list) or not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
         raise InputError('"dims" must be a list of integers')
+    _check_dims(dims, quiver.vertex_count)  # before any matrix shape is read from dims
     raw_mats = data["mats"]
     if not isinstance(raw_mats, dict):
         raise InputError('"mats" must be an object keyed by arrow')
@@ -91,8 +96,7 @@ def load_rep(source) -> QuiverRep:
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise InputError(f'matrix "{key}" must be a list of rows')
         parsed = [[_parse_entry(x) for x in r] for r in rows]
-        nrows = dims[arrow.target - 1] if arrow.target - 1 < len(dims) else -1
-        ncols = dims[arrow.source - 1] if arrow.source - 1 < len(dims) else -1
+        nrows, ncols = dims[arrow.target - 1], dims[arrow.source - 1]
         if len(parsed) != nrows or any(len(r) != ncols for r in parsed):
             raise InputError(f'matrix "{key}" does not have shape {nrows} x {ncols}')
         mats.append(RatMat.from_rows(parsed, nrows=nrows, ncols=ncols))
@@ -132,10 +136,6 @@ def regular_semisimple_verdicts(rep: QuiverRep) -> dict[int, bool]:
     for k in rep.quiver.weak_positions():
         out[k] = is_squarefree(charpoly(rep.mats[k]))
     return out
-
-
-def regular_semisimple_check(rep: QuiverRep) -> bool:
-    return all(regular_semisimple_verdicts(rep).values())
 
 
 # -- crystal statistics at a point ------------------------------------------

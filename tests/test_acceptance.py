@@ -24,7 +24,7 @@ from gkm_crystals.geometry import (
     flag_exists,
     load_rep,
     moment_map_check,
-    regular_semisimple_check,
+    regular_semisimple_verdicts,
     verify_flag,
 )
 from gkm_crystals.oracle import graded_dim
@@ -112,7 +112,7 @@ def test_criterion_3_geometry_of_the_example():
         problems.append("no graded flag found")
     else:
         problems.extend(verify_flag(rep, witness))
-    if not regular_semisimple_check(rep):
+    if not all(regular_semisimple_verdicts(rep).values()):
         problems.append("weak loop is not regular semisimple")
     got = (eps_point(rep, 1), eps_star_point(rep, 1), eps_point(rep, 2), eps_star_point(rep, 2))
     if got != (0, 2, 1, 0):

@@ -193,6 +193,21 @@ def test_geom_large_entry_finds_flag(tmp_path, capsys):
     assert out[3] == "(eps, eps*) = v1:(2,2)"
 
 
+@pytest.mark.parametrize("dims, message", [
+    ([1], "dimension vector length does not match the vertex count"),
+    ([1, -1], "negative dimension"),
+], ids=["short", "negative"])
+def test_bad_dims_name_their_fault(tmp_path, capsys, dims, message):
+    rep = json.loads(REP)
+    rep["dims"] = dims
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    assert cli.main(["geom", "--rep", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_input_errors_exit_two(files, capsys, tmp_path):
     assert cli.main(["graph", "--depth", "1"]) == 2
     assert cli.main(["graph", "--cartan", files["exb.json"],

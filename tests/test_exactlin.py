@@ -17,8 +17,6 @@ from gkm_crystals.exactlin import (
     is_squarefree,
     nullspace,
     poly_deriv,
-    poly_eval,
-    poly_gcd,
     rational_roots,
     rref,
 )
@@ -82,7 +80,6 @@ def test_apply_rows_rejects_a_length_mismatch():
     lambda: EchelonBasis(2).reduce((0, 0.5)),
     lambda: (0.5, 0) in EchelonBasis(2),
     lambda: rational_roots([1, -0.5]),
-    lambda: poly_gcd([1, 0.5], [1, 0]),
     lambda: is_squarefree([1.0, 0, -1]),
 ])
 def test_floats_are_rejected(build):
@@ -180,26 +177,23 @@ def test_nullspace():
 
 
 def test_charpoly():
-    # coefficients are descending and monic
+    # coefficients are descending, coprime integers with a positive lead
     swap = RatMat.from_rows([[0, 1], [1, 0]])
-    assert charpoly(swap) == [Q(1), Q(0), Q(-1)]
+    assert charpoly(swap) == [1, 0, -1]
     diag = RatMat.from_rows([[1, 0], [0, 3]])
-    assert charpoly(diag) == [Q(1), Q(-4), Q(3)]
-    assert charpoly(RatMat.from_rows([], nrows=0, ncols=0)) == [Q(1)]
+    assert charpoly(diag) == [1, -4, 3]
+    assert charpoly(RatMat.from_rows([], nrows=0, ncols=0)) == [1]
+    assert all(type(c) is int for c in charpoly(diag))
 
 
 def test_poly_utilities():
     p = [Q(1), Q(-3), Q(2)]  # x^2 - 3x + 2
-    assert poly_eval(p, Q(1)) == 0 and poly_eval(p, Q(0)) == 2
     assert poly_deriv(p) == [Q(2), Q(-3)]
-    g = poly_gcd(p, poly_deriv(p))
-    assert len(g) == 1  # squarefree gives a constant gcd
     assert is_squarefree(p)
     assert not is_squarefree([Q(1), Q(-2), Q(1)])  # (x-1)^2
     assert not is_squarefree([Q(1), Q(0), Q(0)])  # x^2
     # integer coefficients stay exact: (x - (10^17 + 1))^2 is no square in floats
     assert not is_squarefree([1, -(2 * 10**17 + 2), (10**17 + 1) ** 2])
-    assert all(type(c) is Q for c in poly_gcd([1, -3, 2], [1, -1]))
 
 
 def test_rational_roots():
@@ -261,6 +255,13 @@ def test_rational_roots_finds_planted_roots(case):
     assert rational_roots(p) == sorted(set(roots))
 
 
+def _ref_eval(p, x: Q) -> Q:
+    acc = Q(0)
+    for c in p:
+        acc = acc * x + c
+    return acc
+
+
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, abs(n) + 1) if n % d == 0]
 
@@ -273,7 +274,7 @@ def _divisor_search(p: list[int]) -> list[Q]:
         p = p[:-1]
     if len(p) > 1:
         roots |= {Q(s * num, den) for num in _divisors(p[-1]) for den in _divisors(p[0]) for s in (1, -1)
-                  if poly_eval(p, Q(s * num, den)) == 0}
+                  if _ref_eval(p, Q(s * num, den)) == 0}
     return sorted(roots)
 
 
@@ -423,8 +424,8 @@ def square_matrices(draw):
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 def test_charpoly_matches_fraction_reference(m):
     coeffs = charpoly(m)
-    assert coeffs == _ref_charpoly(m.entries, m.nrows)
-    assert all(type(c) is Q for c in coeffs)
+    assert coeffs == exactlin._primitive(_ref_charpoly(m.entries, m.nrows))
+    assert all(type(c) is int for c in coeffs) and coeffs[0] > 0
 
 
 def test_charpoly_of_the_empty_matrix():
@@ -467,11 +468,10 @@ def _ref_gcd(a, b) -> list[Q]:
 @given(st.lists(_rationals(10**6), min_size=1, max_size=3), st.lists(st.lists(_rationals(10**6), min_size=1, max_size=3),
                                                                      min_size=2, max_size=2))
 @ROOT_SETTINGS
-def test_poly_gcd_matches_fraction_euclid(common, cofactors):
+def test_is_squarefree_matches_fraction_euclid(common, cofactors):
     a, b = (_times(common, f) for f in cofactors)
-    g = poly_gcd(a, b)
-    assert g == _ref_gcd(a, b) and all(type(c) is Q for c in g)
-    assert is_squarefree(a) == (len(a) <= 2 or len(_ref_gcd(a, poly_deriv(a))) <= 1)
+    for p in (a, b, _times(a, common)):  # the last has common as a square factor
+        assert is_squarefree(p) == (len(p) <= 2 or len(_ref_gcd(p, poly_deriv(p))) <= 1)
 
 
 def _ref_remainder(a, b) -> list[Q]:
@@ -494,3 +494,42 @@ def test_integer_remainder_is_a_positive_multiple(a, b):
 def test_integer_remainder_keeps_its_sign():
     # x^3 + x + 1 = (-x)(-x^2 - 1) + 1: three steps by a negative leading coefficient
     assert exactlin._rem([1, 0, 1, 1], [-1, 0]) == [1]
+
+
+# -- what the geometry calls on a weak loop ------------------------------------
+
+
+def _loop_matrix(rng: random.Random) -> list[list[Q]]:
+    """A 1-4 dimensional p/q matrix: random, or conjugate to a triangular one with a repeated eigenvalue."""
+    n = rng.randint(1, 4)
+    if n == 1 or rng.random() < 0.5:
+        return [[Q(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.7 else Q(0) for _ in range(n)]
+                for _ in range(n)]
+    eig = [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+    eig[-1] = eig[0]
+    t = [[eig[i] if i == j else Q(rng.randint(-3, 3), rng.randint(1, 3)) if i < j else Q(0) for j in range(n)]
+         for i in range(n)]
+    for _ in range(rng.randint(1, 6)):  # t -> E t E^-1 with E = 1 + c e_ij
+        i, j, c = rng.randrange(n), rng.randrange(n), rng.choice([-2, -1, 1, 2])
+        if i != j:
+            t[i] = [a + c * b for a, b in zip(t[i], t[j])]
+            for row in t:
+                row[j] -= c * row[i]
+    return t
+
+
+def test_loop_spectrum_matches_fraction_reference():
+    rng = random.Random(19)
+    verdicts, rooted = set(), 0
+    for _ in range(200):
+        rows = _loop_matrix(rng)
+        ref = _ref_charpoly(rows, len(rows))
+        den = math.lcm(*(c.denominator for c in ref))
+        coeffs = charpoly(RatMat.from_rows(rows))
+        roots = rational_roots(coeffs)
+        assert roots == _divisor_search([int(c * den) for c in ref])
+        squarefree = len(_ref_gcd(ref, [c * (len(ref) - 1 - k) for k, c in enumerate(ref[:-1])])) <= 1
+        assert is_squarefree(coeffs) == squarefree
+        verdicts.add(squarefree)
+        rooted += bool(roots)
+    assert verdicts == {True, False} and rooted > 50

@@ -19,7 +19,6 @@ from gkm_crystals.geometry import (
     load_rep,
     moment_map,
     moment_map_check,
-    regular_semisimple_check,
     regular_semisimple_verdicts,
     star_rep,
     verify_flag,
@@ -177,7 +176,7 @@ def test_moment_map_matches_the_nested_loop_reference():
 
 def test_regular_semisimple():
     assert regular_semisimple_verdicts(pinned_rep()) == {2: True}
-    assert regular_semisimple_check(pinned_rep())
+    assert all(regular_semisimple_verdicts(pinned_rep()).values())
     # repeated eigenvalue 1 fails
     assert regular_semisimple_verdicts(one_loop_rep([[0, 0], [0, 0]], [[1, 0], [0, 1]])) == {1: False}
     assert regular_semisimple_verdicts(one_loop_rep([[0, 0], [0, 0]], [[1, 0], [0, 3]])) == {1: True}
