@@ -81,6 +81,7 @@ def test_apply_rows_rejects_a_length_mismatch():
     lambda: (0.5, 0) in EchelonBasis(2),
     lambda: rational_roots([1, -0.5]),
     lambda: is_squarefree([1.0, 0, -1]),
+    lambda: rref([(1, 0.5)], 2),
 ])
 def test_floats_are_rejected(build):
     with pytest.raises(TypeError, match="exact arithmetic takes int or Fraction entries"):
