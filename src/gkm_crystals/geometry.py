@@ -116,14 +116,12 @@ def moment_map(rep: QuiverRep, i: int) -> RatMat:
     """sum over arrows h leaving i of sign(h) * B_hbar B_h, an endomorphism of V_i."""
     if not 1 <= i <= rep.quiver.vertex_count:
         raise InputError(f"vertex {i} out of range")
-    d = rep.dims[i - 1]
-    acc = [[Q(0)] * d for _ in range(d)]
-    for k, arrow in enumerate(rep.quiver.arrows):
-        if arrow.source == i:
-            sign = 1 if arrow.in_omega else -1
-            term = rep.mats[rep.quiver.partner(k)] @ rep.mats[k]
-            acc = [[a + sign * b for a, b in zip(row, t)] for row, t in zip(acc, term.entries)]
-    return RatMat(d, d, tuple(map(tuple, acc)))
+    # [B_hbar ...] side by side times [sign(h) B_h ...] stacked, over the arrows h leaving i.
+    out = [(k, 1 if a.in_omega else -1) for k, a in enumerate(rep.quiver.arrows) if a.source == i]
+    d, width = rep.dims[i - 1], sum(rep.mats[k].nrows for k, _ in out)
+    side = tuple(sum((rep.mats[rep.quiver.partner(k)].entries[r] for k, _ in out), ()) for r in range(d))
+    stack = tuple(tuple(sign * x for x in row) for k, sign in out for row in rep.mats[k].entries)
+    return RatMat(d, width, side) @ RatMat(width, d, stack)
 
 
 def moment_map_check(rep: QuiverRep) -> bool:

@@ -107,31 +107,20 @@ class Laurent:
         return " + ".join(parts)
 
 
-def q_int(n: int) -> Laurent:
-    """Balanced q-integer [n] = q^(n-1) + q^(n-3) + ... + q^(1-n)."""
-    if n == 0:
-        return Laurent.zero()
-    if n < 0:
-        return -q_int(-n)
-    return Laurent({e: 1 for e in range(n - 1, -n, -2)})
-
-
-def q_factorial(n: int) -> Laurent:
-    out = Laurent.one()
-    for k in range(1, n + 1):
-        out = out * q_int(k)
-    return out
-
-
 @functools.cache
 def q_binomial(m: int, k: int) -> Laurent:
-    """Balanced q-binomial [m choose k]; division is exact by construction.
+    """Balanced q-binomial [m choose k], 0 unless 0 <= k <= m, by q-Pascal rows:
+    [n, 0] = [n, n] = 1 and [n, j] = q^-j [n-1, j] + q^(n-j) [n-1, j-1].
 
     Cached: build_relations asks for the same few entries at every weight,
     and no caller changes a Laurent's coefficients in place."""
     if k < 0 or k > m:
         return Laurent.zero()
-    return q_factorial(m).exact_div(q_factorial(k)).exact_div(q_factorial(m - k))
+    row = [Laurent.one()]
+    for n in range(1, m + 1):
+        inner = [Laurent({-j: 1}) * row[j] + Laurent({n - j: 1}) * row[j - 1] for j in range(1, n)]
+        row = [Laurent.one(), *inner, Laurent.one()]
+    return row[k]
 
 
 @dataclass(frozen=True)
@@ -187,27 +176,15 @@ def build_relations(datum: BorcherdsCartanDatum, max_height: int) -> tuple[Relat
 
 
 def words_of_weight(alpha: Weight) -> list[Word]:
-    """All words with letter multiplicities alpha, in lexicographic order."""
+    """All words with letter multiplicities alpha, in lexicographic order: one
+    step per letter extends each word by every letter it still lacks, ascending."""
     if any(c < 0 for c in alpha):
         raise InputError(f"weight {alpha} leaves the positive cone")
-    remaining = list(alpha)
-    out: list[Word] = []
-    word: list[int] = []
-
-    def rec() -> None:
-        if not any(remaining):
-            out.append(tuple(word))
-            return
-        for i, left in enumerate(remaining, start=1):
-            if left:
-                remaining[i - 1] -= 1
-                word.append(i)
-                rec()
-                word.pop()
-                remaining[i - 1] += 1
-
-    rec()
-    return out
+    words: list[tuple[Word, Weight]] = [((), tuple(alpha))]
+    for _ in range(sum(alpha)):
+        words = [(word + (i + 1,), left[:i] + (c - 1,) + left[i + 1:])
+                 for word, left in words for i, c in enumerate(left) if c]
+    return [word for word, _ in words]
 
 
 def laurent_rank(rows: list[dict[int, Laurent]], ncols: int) -> int:

@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -16,29 +16,29 @@ from gkm_crystals.oracle import (
     graded_dim,
     laurent_rank,
     q_binomial,
-    q_factorial,
-    q_int,
     words_of_weight,
 )
 
 Q1 = Laurent({1: 1})
 QM1 = Laurent({-1: 1})
+Q2 = Laurent({1: 1, -1: 1})
+Q3 = Laurent({2: 1, 0: 1, -2: 1})
 
 
 def test_laurent_arithmetic():
-    assert Q1 + QM1 == q_int(2)
+    assert Q1 + QM1 == Q2
     assert Q1 * QM1 == Laurent.one()
     assert (Q1 - Q1) == Laurent.zero()
     assert not Laurent.zero()
     assert Laurent({0: 3}) * Laurent({0: 2}) == Laurent({0: 6})
-    assert -q_int(2) == Laurent({1: -1, -1: -1})
+    assert -Q2 == Laurent({1: -1, -1: -1})
 
 
 def test_laurent_exact_division():
     num = Laurent({2: 1}) - Laurent({-2: 1})
     den = Q1 - QM1
-    assert num.exact_div(den) == q_int(2)
-    assert (q_int(3) * q_int(2)).exact_div(q_int(2)) == q_int(3)
+    assert num.exact_div(den) == Q2
+    assert (Q3 * Q2).exact_div(Q2) == Q3
     with pytest.raises(InexactDivisionError):
         (Q1 + Laurent.one()).exact_div(Q1 - Laurent.one())
     with pytest.raises(InexactDivisionError):
@@ -46,17 +46,43 @@ def test_laurent_exact_division():
 
 
 def test_q_integers_are_balanced():
-    assert q_int(0) == Laurent.zero()
-    assert q_int(1) == Laurent.one()
-    assert q_int(2) == Laurent({1: 1, -1: 1})
-    assert q_int(3) == Laurent({2: 1, 0: 1, -2: 1})
+    assert q_binomial(0, 1) == Laurent.zero()
+    assert q_binomial(1, 1) == Laurent.one()
+    assert q_binomial(2, 1) == Laurent({1: 1, -1: 1})
+    assert q_binomial(3, 1) == Laurent({2: 1, 0: 1, -2: 1})
 
 
 def test_q_binomial_values():
-    assert q_factorial(3) == q_int(3) * q_int(2)
-    assert q_binomial(2, 1) == q_int(2)
+    assert q_binomial(2, 1) == Q2
     assert q_binomial(4, 2) == Laurent({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})
     assert q_binomial(4, 0) == Laurent.one()
+
+
+
+def _ref_q_int(n):
+    return Laurent({e: 1 for e in range(n - 1, -n, -2)})
+
+
+def _ref_q_factorial(n):
+    out = Laurent.one()
+    for k in range(1, n + 1):
+        out = out * _ref_q_int(k)
+    return out
+
+
+def _ref_q_binomial(m, k):
+    if k < 0 or k > m:
+        return Laurent.zero()
+    return _ref_q_factorial(m).exact_div(_ref_q_factorial(k)).exact_div(_ref_q_factorial(m - k))
+
+
+def test_q_binomial_matches_factorial_ratio_reference():
+    for m in range(13):
+        for k in range(-1, m + 2):
+            got = q_binomial(m, k)
+            assert got == _ref_q_binomial(m, k), (m, k)
+            assert got == q_binomial(m, m - k), (m, k)
+            assert got == Laurent({-e: c for e, c in got.coeffs.items()}), (m, k)
 
 
 def test_relation_counts():
@@ -132,6 +158,24 @@ def test_words_of_weight():
     assert words_of_weight((0, 0)) == [()]
     assert words_of_weight((2, 1)) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
     assert len(words_of_weight((2, 2))) == 6
+
+
+
+def test_words_of_weight_of_a_deep_weight():
+    # One loop step per letter, so a weight of height 1000 needs no recursion.
+    assert words_of_weight((1000,)) == [(1,) * 1000]
+
+
+def test_words_of_weight_matches_distinct_permutations():
+    weights = [(0, 0, 0)]
+    for rank in (1, 2, 3):
+        weights += [a for a in product(range(7), repeat=rank) if sum(a) <= 6]
+    for alpha in weights:
+        letters = [i for i, c in enumerate(alpha, 1) for _ in range(c)]
+        assert words_of_weight(alpha) == sorted(set(permutations(letters))), alpha
+    for alpha in [(-1,), (2, -1), (0, 0, -3)]:
+        with pytest.raises(InputError):
+            words_of_weight(alpha)
 
 
 def test_laurent_rank():
