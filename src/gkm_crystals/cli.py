@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 a mathematical finding (mismatch or failed
 verification), 2 invalid input, 3 more than crystal.NODE_CAP (10000)
-elements enumerated, 4 an internal error (a tripwire such as
-InternalInconsistencyError fired, inside a `verify` check too).
+elements enumerated, 4 an internal error: any other exception a command
+raises, such as the InternalInconsistencyError tripwire.
 Reports go to stdout, and only once they are complete: a run that ends
 with exit code 2, 3 or 4 writes nothing there.  Diagnostics go to stderr,
 one line for exit codes 2-4.  Outputs are deterministic byte for byte for
@@ -41,7 +41,7 @@ from .cartan import (
     weight_height,
 )
 from .crystal import check_strict_morphism, export_graph, generate_graph, verify_axioms
-from .errors import DepthExceededError, GkmError, InputError
+from .errors import DepthExceededError, InputError
 from .geometry import (
     DEFAULT_FLAG_DIM_BOUND,
     eps_point,
@@ -175,9 +175,12 @@ def cmd_geom(args) -> tuple[int, str]:
     if witness is None:
         out.append("flag: not found (rational search)\n")
     else:
-        rendered = ", ".join(
-            f"(v{vertex}, [{', '.join(map(str, vec))}])" for vertex, vec in witness.steps
-        )
+        digit_cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # witness entries may outgrow the cap that input integers keep
+        try:
+            rendered = ", ".join(f"(v{vertex}, [{', '.join(map(str, vec))}])" for vertex, vec in witness.steps)
+        finally:
+            sys.set_int_max_str_digits(digit_cap)
         out.append(f"flag: found {rendered}\n")
     verdicts = regular_semisimple_verdicts(rep)
     if verdicts:
@@ -237,7 +240,7 @@ def main(argv=None) -> int:
     except DepthExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except GkmError as exc:
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     sys.stdout.write(report)

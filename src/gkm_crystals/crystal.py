@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 
 from .cartan import BorcherdsCartanDatum, Weight, add_weights, pairing, simple_root
-from .errors import DepthExceededError, EvaluationFailureError, InputError
+from .errors import DepthExceededError, InputError
 
 # Extended integer: a plain int, or NEG_INF.  NEG_INF absorbs addition and
 # compares below every int, which is exactly the arithmetic the tensor rule
@@ -66,13 +66,6 @@ class Violation:
     detail: str
 
 
-def _checked(crystal: Crystal, method: str, *args):
-    try:
-        return getattr(crystal, method)(*args)
-    except Exception as exc:
-        raise EvaluationFailureError(f"{method}{args!r} failed: {exc}") from exc
-
-
 def verify_axioms(crystal: Crystal, elements) -> list[Violation]:
     """Check the defining crystal axioms on a finite element set.
 
@@ -94,12 +87,12 @@ def verify_axioms(crystal: Crystal, elements) -> list[Violation]:
         violations.append(Violation(crystal.key(b), i, rule, detail))
 
     for b in elems:
-        wt_b = _checked(crystal, "wt", b)
+        wt_b = crystal.wt(b)
         for i, (real, aii, up, down) in enumerate(per_index, 1):
-            eps_b = _checked(crystal, "eps", i, b)
-            phi_b = _checked(crystal, "phi", i, b)
-            eb = _checked(crystal, "e", i, b)
-            fb = _checked(crystal, "f", i, b)
+            eps_b = crystal.eps(i, b)
+            phi_b = crystal.phi(i, b)
+            eb = crystal.e(i, b)
+            fb = crystal.f(i, b)
 
             if phi_b != eps_b + pairing(datum, i, wt_b):
                 report(b, i, "(iii)", f"phi={phi_b} but eps+<h_i,wt>={eps_b + pairing(datum, i, wt_b)}")
@@ -108,10 +101,10 @@ def verify_axioms(crystal: Crystal, elements) -> list[Violation]:
                     (fb, -1, down, "(ii)", "(vi)", "wt(f_i b) != wt(b) - alpha_i")):
                 if image is None:
                     continue
-                if _checked(crystal, "wt", image) != add_weights(wt_b, shift):
+                if crystal.wt(image) != add_weights(wt_b, shift):
                     report(b, i, wt_rule, wt_detail)
-                eps_x = _checked(crystal, "eps", i, image)
-                phi_x = _checked(crystal, "phi", i, image)
+                eps_x = crystal.eps(i, image)
+                phi_x = crystal.phi(i, image)
                 if real:
                     if eps_x != eps_b - sign:
                         report(b, i, step_rule, f"real eps jump: {eps_b} -> {eps_x}")
@@ -122,9 +115,9 @@ def verify_axioms(crystal: Crystal, elements) -> list[Violation]:
                         report(b, i, step_rule, f"imaginary eps changed: {eps_b} -> {eps_x}")
                     if phi_x != phi_b + sign * aii:
                         report(b, i, step_rule, f"imaginary phi jump: {phi_b} -> {phi_x}")
-            if fb in members and _checked(crystal, "e", i, fb) != b:
+            if fb in members and crystal.e(i, fb) != b:
                 report(b, i, "(iv)", "e_i(f_i b) != b")
-            if eb in members and _checked(crystal, "f", i, eb) != b:
+            if eb in members and crystal.f(i, eb) != b:
                 report(b, i, "(iv)", "f_i(e_i b) != b")
             if phi_b == NEG_INF and (eb is not None or fb is not None):
                 report(b, i, "(vii)", "phi = -inf but an operator acts")
@@ -155,16 +148,16 @@ def check_strict_morphism(psi, elements, source: Crystal, target: Crystal) -> li
         if preimages.get(pb, b) != b:
             report(b, None, "injective", f"collides with {source.key(preimages[pb])}")
         preimages[pb] = b
-        if _checked(source, "wt", b) != _checked(target, "wt", pb):
+        if source.wt(b) != target.wt(pb):
             report(b, None, "wt", "weight not preserved")
         for i in range(1, datum.index_count + 1):
-            if _checked(source, "eps", i, b) != _checked(target, "eps", i, pb):
+            if source.eps(i, b) != target.eps(i, pb):
                 report(b, i, "eps", "eps_i not preserved")
-            if _checked(source, "phi", i, b) != _checked(target, "phi", i, pb):
+            if source.phi(i, b) != target.phi(i, pb):
                 report(b, i, "phi", "phi_i not preserved")
             for opname in ("e", "f"):
-                sb = _checked(source, opname, i, b)
-                tb = _checked(target, opname, i, pb)
+                sb = getattr(source, opname)(i, b)
+                tb = getattr(target, opname)(i, pb)
                 if sb is None:
                     if tb is not None:
                         report(b, i, opname, f"{opname}_i vanishes in the source but not on the image")
@@ -209,7 +202,7 @@ def reachable(crystal: Crystal, root, depth: int):
         nxt = []
         for b in frontier:
             for i in range(1, n + 1):
-                c = _checked(crystal, "f", i, b)
+                c = crystal.f(i, b)
                 if c is None:
                     continue
                 if c not in seen:
@@ -237,9 +230,9 @@ def generate_graph(crystal: Crystal, root, depth: int) -> CrystalGraph:
     nodes = tuple(
         GraphNode(
             keys[b],
-            _checked(crystal, "wt", b),
-            tuple(_checked(crystal, "eps", i, b) for i in range(1, n + 1)),
-            tuple(_checked(crystal, "phi", i, b) for i in range(1, n + 1)),
+            crystal.wt(b),
+            tuple(crystal.eps(i, b) for i in range(1, n + 1)),
+            tuple(crystal.phi(i, b) for i in range(1, n + 1)),
         )
         for b in elements
     )

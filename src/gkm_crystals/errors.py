@@ -3,9 +3,9 @@
 InputError signals malformed user input (CLI exit code 2); it is also a
 ValueError, and its message names the fault.  DepthExceededError signals
 an enumeration past crystal.NODE_CAP elements (CLI exit code 3).  The
-remaining classes are correctness tripwires or evaluation failures (CLI
-exit code 4); they indicate bugs or ill-formed data fed past validation
-and are never silenced by library code.
+remaining classes are correctness tripwires; they indicate bugs and are
+never silenced by library code.  The CLI exits 4 on them, as on every
+other exception a command raises.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ class InputError(GkmError, ValueError):
 
 class DepthExceededError(GkmError):
     """Enumeration produced more than crystal.NODE_CAP elements."""
-
-
-class EvaluationFailureError(GkmError):
-    """A crystal map could not be evaluated on a supplied element."""
 
 
 class InternalInconsistencyError(GkmError):

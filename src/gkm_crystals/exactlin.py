@@ -273,7 +273,7 @@ def _horner(p: list[int], x: int) -> int:
 
 def _sign_changes(seq: list[list[int]], x: int) -> int:
     signs = [v for v in (_horner(s, x) for s in seq) if v]  # zeros skipped
-    return sum(u * v < 0 for u, v in zip(signs, signs[1:]))
+    return sum((u < 0) != (v < 0) for u, v in zip(signs, signs[1:]))
 
 
 def rational_roots(p) -> list[Q]:
@@ -297,7 +297,8 @@ def rational_roots(p) -> list[Q]:
         return sorted(roots)
     m = [1] + [c * a[0] ** (i - 1) for i, c in enumerate(a) if i]
     halves = [[c << i for i, c in enumerate(s)] for s in _sturm(m)]  # 2^deg s(h/2), read at h
-    edge = 2 * max(abs(c) for c in m) + 3  # m's roots lie in (-edge/2, edge/2)
+    fujiwara = 2 << max(-(-c.bit_length() // k) for k, c in enumerate(m) if k)  # > 2 max |m_k|^(1/k)
+    edge = 2 * min(max(abs(c) for c in m), fujiwara) + 3  # Cauchy, Fujiwara: roots in (-edge/2, edge/2)
     stack = [(-edge, _sign_changes(halves, -edge), edge, _sign_changes(halves, edge))]
     while stack:
         lo, v_lo, hi, v_hi = stack.pop()

@@ -1,7 +1,9 @@
 """End-to-end command-line checks, including failure exit codes."""
 
 import json
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -381,3 +383,47 @@ def test_failed_run_writes_no_partial_report(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "input error: total dimension 7 exceeds the bound 6\n"
+
+
+@pytest.mark.parametrize("argv, name, target, attr", [
+    (["graph", "--depth", "2", "--cartan"], "exb.json", cli, "generate_graph"),
+    (["dims", "--height", "2", "--cartan"], "exb.json", cli, "graded_dim"),
+    (["verify", "--depth", "2", "--cartan"], "exb.json", BInfinityCrystal, "phi"),
+    (["geom", "--rep"], "rep.json", cli, "moment_map"),
+], ids=["graph", "dims", "verify", "geom"])
+def test_any_exception_exits_four(files, capsys, monkeypatch, argv, name, target, attr):
+    # Not a GkmError: the command line still ends with one line and exit code 4.
+    def planted(*args):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(target, attr, planted)
+    assert cli.main(argv + [files[name]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: planted\n"
+
+
+def test_geom_prints_witness_past_the_digit_cap(files, capsys, monkeypatch):
+    # Witness entries may outgrow the interpreter's cap on int-to-str digits.
+    numerator = 10**4999 + 7
+    witness = geometry.FlagWitness(((1, (Fraction(numerator, 3), Fraction(0))),))
+    monkeypatch.setattr(cli, "flag_exists", lambda rep: witness)
+    cap = sys.get_int_max_str_digits()
+    assert cli.main(["geom", "--rep", files["rep.json"]]) == 0
+    assert sys.get_int_max_str_digits() == cap
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "flag: found (v1, [1" + "0" * 4998 + "7/3, 0])"
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("1" + "0" * 4400, "not valid JSON"),
+    ('"1' + "0" * 4400 + '/3"', "bad rational entry"),
+], ids=["json-int", "ratio-string"])
+def test_rep_entry_past_the_digit_cap_rejected(tmp_path, capsys, entry, message):
+    path = tmp_path / "long_rep.json"
+    path.write_text('{"quiver": {"vertices": 1, "omega_arrows": [[1, 1]]}, "dims": [1], '
+                    '"mats": {"h0": [[0]], "h1": [[' + entry + ']]}}')
+    assert cli.main(["geom", "--rep", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {message}") and len(captured.err.splitlines()) == 1

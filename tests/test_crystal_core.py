@@ -20,7 +20,7 @@ from gkm_crystals.crystal import (
     verify_axioms,
 )
 from gkm_crystals.elementary import ElementaryCrystal
-from gkm_crystals.errors import DepthExceededError, EvaluationFailureError, InputError
+from gkm_crystals.errors import DepthExceededError, InputError
 
 SL2 = validate_datum([[2]])
 A2 = validate_datum([[2, -1], [-1, 2]])
@@ -132,7 +132,7 @@ def test_axiom_vii_blamed():
     assert any(v.rule == "(vii)" for v in violations)
 
 
-def test_evaluation_failure_wrapped():
+def test_map_failure_propagates_unchanged():
     class Broken(Crystal):
         datum = SL2
 
@@ -149,13 +149,19 @@ def test_evaluation_failure_wrapped():
             return None
 
         def f(self, i, b):
-            return None
+            raise RuntimeError("boom")
 
         def key(self, b):
             return str(b)
 
-    with pytest.raises(EvaluationFailureError):
-        verify_axioms(Broken(), ["x"])
+    broken = Broken()
+    for run in (lambda: verify_axioms(broken, ["x"]),
+                lambda: check_strict_morphism(lambda b: b, ["x"], broken, broken),
+                lambda: reachable(broken, "x", 1)):
+        with pytest.raises(RuntimeError) as excinfo:
+            run()
+        assert excinfo.type is RuntimeError
+        assert str(excinfo.value) == "boom"
 
 
 # -- strict morphisms -------------------------------------------------------

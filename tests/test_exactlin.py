@@ -256,6 +256,39 @@ def test_rational_roots_finds_planted_roots(case):
     assert rational_roots(p) == sorted(set(roots))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 31, 64, 65, 127, 200, 299, 300])
+def test_rational_roots_near_powers_of_two(k):
+    # Roots +-2^k and +-(2^k +- 1) in degrees 1-4, repeated, over a leading coefficient > 1.
+    r, s, t = 2**k, 2**k + 1, 2**k - 1
+    cube = _times(_times([Q(2), t], [Q(1), -s]), [Q(1), -s])
+    cases = [
+        ([3, -r], {Q(r, 3)}),
+        ([1, -s], {Q(s)}),
+        (_times([Q(1), -r], [Q(1), -r]), {Q(r)}),
+        (_times(_times([Q(3), -r], [Q(1), s]), [Q(1), -t]), {Q(r, 3), Q(-s), Q(t)}),
+        (_times(_times([Q(1), -r], [Q(1), -r]), [Q(1), -r]), {Q(r)}),
+        (_times(cube, [Q(1), r]), {Q(-t, 2), Q(s), Q(-r)}),
+        (_times(_times([Q(1), -r], [Q(1), r]), [Q(1), 0, Q(1)]), {Q(r), Q(-r)}),  # x^2 + 1 has none
+    ]
+    for p, roots in cases:
+        assert rational_roots(p) == sorted(roots), p
+
+
+def test_rational_roots_bisects_from_the_smaller_bound(monkeypatch):
+    # Cauchy's bound on (x - 2^200)^3 is about 2^601; Fujiwara's is about 2^203.
+    calls = []
+    sign_changes = exactlin._sign_changes
+
+    def counting(seq, x):
+        calls.append(x)
+        return sign_changes(seq, x)
+
+    monkeypatch.setattr(exactlin, "_sign_changes", counting)
+    r = 2**200
+    assert rational_roots([1, -3 * r, 3 * r * r, -r**3]) == [Q(r)]
+    assert len(calls) <= 210
+
+
 def _ref_eval(p, x: Q) -> Q:
     acc = Q(0)
     for c in p:
