@@ -1,10 +1,12 @@
 """Graded-dimension oracle: Laurent arithmetic, relations, exact rank."""
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given
+from test_properties import PROPERTY_SETTINGS, data_and_periods
 
 from gkm_crystals import oracle
 from gkm_crystals.cartan import validate_datum
@@ -173,9 +175,55 @@ def test_words_of_weight_matches_distinct_permutations():
     for alpha in weights:
         letters = [i for i, c in enumerate(alpha, 1) for _ in range(c)]
         assert words_of_weight(alpha) == sorted(set(permutations(letters))), alpha
+        assert words_of_weight(alpha, frozenset()) == words_of_weight(alpha), alpha
     for alpha in [(-1,), (2, -1), (0, 0, -3)]:
         with pytest.raises(InputError):
             words_of_weight(alpha)
+
+
+M3 = [[2, -1, 0], [-1, 0, -1], [0, -1, 2]]
+# 2 commutes with 1 and with 3, which do not commute: the least word of 3 1 2
+# is 2 3 1, which bubbling 2 left past larger letters never reaches.
+TRAP = [[2, 0, -1], [0, 2, 0], [-1, 0, 2]]
+
+
+def _commuting(datum) -> frozenset[tuple[int, int]]:
+    n = datum.index_count
+    return frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                     if i != j and datum.a(i, j) == 0)
+
+
+def _trace_classes(alpha, commuting):
+    """Every word of weight alpha, split into classes by a BFS over swaps of
+    adjacent commuting letters."""
+    letters = [i for i, c in enumerate(alpha, 1) for _ in range(c)]
+    unseen, classes = set(permutations(letters)), []
+    while unseen:
+        start = unseen.pop()
+        cls, queue = {start}, deque([start])
+        while queue:
+            w = queue.popleft()
+            for k in range(len(w) - 1):
+                if (w[k], w[k + 1]) in commuting:
+                    x = w[:k] + (w[k + 1], w[k]) + w[k + 2:]
+                    if x not in cls:
+                        cls.add(x)
+                        queue.append(x)
+        unseen -= cls
+        classes.append(cls)
+    return classes
+
+
+@pytest.mark.parametrize("matrix", [M3, TRAP])
+def test_trace_generator_gives_the_least_word_of_each_swap_class(matrix):
+    d = validate_datum(matrix)
+    commuting = _commuting(d)
+    for alpha in _weights_up_to(d.index_count, 5):
+        classes = _trace_classes(alpha, commuting)
+        assert words_of_weight(alpha, commuting) == sorted(min(cls) for cls in classes), alpha
+        for cls in classes:
+            least = min(cls)
+            assert all(oracle._least_word(w, commuting) == least for w in cls), (alpha, least)
 
 
 def test_laurent_rank():
@@ -325,6 +373,43 @@ def test_graded_dim_matches_eager_elimination(matrix, monkeypatch):
     lazy = [graded_dim(d, alpha) for alpha in weights]
     monkeypatch.setattr(oracle, "laurent_rank", _eager_sparse_rank)
     assert [graded_dim(d, alpha) for alpha in weights] == lazy
+
+
+def _word_graded_dim(datum, alpha) -> int:
+    """Reference: the same quotient eliminated over every word of alpha, with the
+    commutators kept as relations."""
+    words = words_of_weight(alpha)
+    index = {w: k for k, w in enumerate(words)}
+    rows = []
+    for rel in build_relations(datum, sum(alpha)):
+        gamma = tuple(a - b for a, b in zip(alpha, rel.weight))
+        if any(c < 0 for c in gamma):
+            continue
+        for uv in words_of_weight(gamma):
+            for cut in range(len(uv) + 1):
+                rows.append({index[uv[:cut] + w + uv[cut:]]: coeff for coeff, w in rel.terms})
+    return len(words) - laurent_rank(rows, len(words))
+
+
+@pytest.mark.parametrize("matrix, height", [
+    (M3, 6),
+    (TRAP, 6),
+    ([[0, 0], [0, 0]], DEFAULT_HEIGHT_BOUND),
+    ([[-2, 0, -1], [0, 2, 0], [-1, 0, 0]], 6),
+    ([[2, 0, -1, 0], [0, -2, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 2]], 5),
+])
+def test_graded_dim_on_traces_matches_the_word_route(matrix, height):
+    d = validate_datum(matrix)
+    for alpha in _weights_up_to(d.index_count, height):
+        assert graded_dim(d, alpha) == _word_graded_dim(d, alpha), alpha
+
+
+@PROPERTY_SETTINGS
+@given(data_and_periods())
+def test_graded_dim_on_traces_matches_the_word_route_on_random_data(example):
+    d, _ = example
+    for alpha in _weights_up_to(d.index_count, 5 if d.index_count <= 2 else 4):
+        assert graded_dim(d, alpha) == _word_graded_dim(d, alpha), (d.matrix, alpha)
 
 
 RANK1_DATA = [[[2]], [[0]], [[-2]]]
