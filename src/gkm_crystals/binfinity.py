@@ -120,7 +120,7 @@ class BInfinityCrystal(Crystal):
     """
 
     def __init__(self, datum: BorcherdsCartanDatum, iota: IotaSequence | None = None):
-        n = self._n = datum.index_count
+        n = datum.index_count
         self.datum = datum
         self.iota = iota if iota is not None else IotaSequence.cyclic(n)
         self.iota.validate_for(n)
@@ -145,10 +145,6 @@ class BInfinityCrystal(Crystal):
         if b.iota is not self.iota and b.iota != self.iota:
             raise InputError("element belongs to a realization with a different iota sequence")
 
-    def _check_index(self, i: int) -> None:
-        if not 0 < i <= self._n:
-            raise InputError(f"index {i} not in 1..{self._n}")
-
     def _record(self, entries: tuple[int, ...], b: BInfElement | None = None) -> list:
         """The record of a string, made on first use with b (or a new element) in slot 0."""
         rec = self._records.get(entries)
@@ -163,7 +159,7 @@ class BInfinityCrystal(Crystal):
 
     def wt(self, b: BInfElement) -> Weight:
         self._own(b)
-        period, coords = self.iota.period, [0] * self._n
+        period, coords = self.iota.period, [0] * self.datum.index_count
         for pos, a in enumerate(b.entries):
             coords[period[pos % len(period)] - 1] -= a
         return tuple(coords)
@@ -208,7 +204,7 @@ class BInfinityCrystal(Crystal):
         memoized only once the whole walk has passed.
         """
         self._own(b)
-        self._check_index(i)
+        self.datum.check_index(i)
         k = 4 * i - 3  # the eps_i slot of a record; phi_i follows it
         records = self._records
         rec = records.get(b.entries)
@@ -262,7 +258,7 @@ class BInfinityCrystal(Crystal):
         and the action lands on the factor m that `_scan` reports.
         """
         self._own(b)
-        self._check_index(i)
+        self.datum.check_index(i)
         slot = 4 * i - 1 if raising else 4 * i
         rec = self._records.get(b.entries)
         if rec is not None and rec[slot] is not _UNSET:
@@ -321,7 +317,7 @@ class BInfinityCrystal(Crystal):
                 bound = -sum(self.wt(b)) + 1
             elif len(steps) > bound:
                 raise InternalInconsistencyError("raising word exceeds the weight height")
-            for j in range(1, self._n + 1):
+            for j in range(1, self.datum.index_count + 1):
                 y = self.e(j, x)
                 if y is not None:
                     break
@@ -354,7 +350,7 @@ class BInfinityCrystal(Crystal):
 
     def _i_first(self, b: BInfElement, i: int) -> tuple["BInfinityCrystal", BInfElement, int]:
         """The i-first realization, b transported there, and its outermost coordinate."""
-        self._check_index(i)
+        self.datum.check_index(i)
         first = self.realization_with(self.iota.i_first(i))
         t = self.transport(b, first)
         return first, t, t.entries[0] if t.entries else 0

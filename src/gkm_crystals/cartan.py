@@ -9,6 +9,7 @@ tuples against the simple roots alpha_1 .. alpha_n.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -45,7 +46,7 @@ class BorcherdsCartanDatum:
     real_indices: frozenset[int]
     imaginary_indices: frozenset[int]
 
-    @property
+    @functools.cached_property
     def index_count(self) -> int:
         return len(self.matrix)
 

@@ -31,7 +31,6 @@ class ElementaryElement:
 
 class ElementaryCrystal(Crystal):
     def __init__(self, datum: BorcherdsCartanDatum, index: int):
-        datum.check_index(index)
         self.datum = datum
         self.index = index
         self._real, self._aii = datum.is_real(index), datum.a(index, index)
@@ -39,39 +38,36 @@ class ElementaryCrystal(Crystal):
     def element(self, level: int) -> ElementaryElement:
         return ElementaryElement(self.index, level)
 
-    def _own(self, b: ElementaryElement) -> None:
+    def _check(self, i: int, b: ElementaryElement) -> None:
+        """Reject an element of another index, then an index outside the datum."""
         if b.index != self.index:
             raise InputError(f"element of index {b.index} fed to the index-{self.index} crystal")
+        self.datum.check_index(i)
 
     def wt(self, b: ElementaryElement) -> Weight:
-        self._own(b)
-        n = self.datum.index_count
-        return tuple(-b.level if k == self.index - 1 else 0 for k in range(n))
+        self._check(self.index, b)
+        return tuple(-b.level if k == self.index - 1 else 0 for k in range(self.datum.index_count))
 
     def eps(self, i: int, b: ElementaryElement):
-        self._own(b)
-        self.datum.check_index(i)
+        self._check(i, b)
         if i != self.index:
             return NEG_INF
         return b.level if self._real else 0
 
     def phi(self, i: int, b: ElementaryElement):
-        self._own(b)
-        self.datum.check_index(i)
+        self._check(i, b)
         if i != self.index:
             return NEG_INF
         return -b.level if self._real else -b.level * self._aii
 
     def e(self, i: int, b: ElementaryElement):
-        self._own(b)
-        self.datum.check_index(i)
+        self._check(i, b)
         if i != self.index or b.level == 0:
             return None
         return ElementaryElement(self.index, b.level - 1)
 
     def f(self, i: int, b: ElementaryElement):
-        self._own(b)
-        self.datum.check_index(i)
+        self._check(i, b)
         if i != self.index:
             return None
         return ElementaryElement(self.index, b.level + 1)

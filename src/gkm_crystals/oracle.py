@@ -122,13 +122,9 @@ class Laurent:
         return " + ".join(parts)
 
 
-@functools.cache
 def q_binomial(m: int, k: int) -> Laurent:
     """Balanced q-binomial [m choose k], 0 unless 0 <= k <= m, by q-Pascal rows:
-    [n, 0] = [n, n] = 1 and [n, j] = q^-j [n-1, j] + q^(n-j) [n-1, j-1].
-
-    Cached: build_relations asks for the same few entries at every weight,
-    and no caller changes a Laurent's coefficients in place."""
+    [n, 0] = [n, n] = 1 and [n, j] = q^-j [n-1, j] + q^(n-j) [n-1, j-1]."""
     if k < 0 or k > m:
         return Laurent.zero()
     row = [Laurent.one()]
@@ -153,7 +149,6 @@ def _word_weight(word: Word, n: int) -> Weight:
     return tuple(alpha)
 
 
-@functools.cache
 def build_relations(datum: BorcherdsCartanDatum, max_height: int) -> tuple[Relation, ...]:
     """Defining relations of the lowering half, up to height `max_height`.
 
@@ -163,8 +158,7 @@ def build_relations(datum: BorcherdsCartanDatum, max_height: int) -> tuple[Relat
     it is emitted only once: from the smaller real index, or as a
     commutator when both indices are imaginary.  Relations longer than
     `max_height` are not built: they span no row at a weight of height
-    `max_height` or less.  Cached per (datum, height): `graded_dim` asks
-    at every weight, and no caller changes a Relation or a Laurent.
+    `max_height` or less.
     """
     n = datum.index_count
     out: list[Relation] = []
@@ -247,25 +241,22 @@ def _traces(alpha: Weight, commuting: Commuting) -> tuple[Word, ...]:
 @functools.cache
 def _trace_relations(datum: BorcherdsCartanDatum,
                      max_height: int) -> tuple[Commuting, tuple[tuple[Support, Relation], ...]]:
-    """The commuting pairs of datum (a_ij = 0 with i != j) and
-    build_relations(datum, max_height) on traces: each term's word becomes the
-    least word of its trace, terms of one trace are summed, and a relation
-    that vanishes there, a commutator, is dropped.  Each relation comes with
-    the support of its weight, so a weight is tested on those few entries
-    and not on all n coordinates.
-    Cached per (datum, height) as build_relations is, so the commutators are
-    dropped once and not at every weight."""
+    """The commuting pairs of datum (a_ij = 0 with i != j) and the relations
+    of build_relations(datum, max_height) that are nonzero on traces, each
+    with the support of its weight, so a weight is tested on those two
+    entries and not on all n coordinates.  A relation in letters i, j with
+    a_ij = 0 is the commutator ij - ji, zero on traces, and is dropped.  Any
+    other is in two letters that do not commute, so each of its words is the
+    only word of its trace, and it is kept as it is.  Cached per (datum,
+    height), so this is done once and not at every weight."""
     commuting = frozenset((i, j) for i, row in enumerate(datum.matrix, 1)
                           for j, a in enumerate(row, 1) if a == 0 and i != j)
     out = []
     for rel in build_relations(datum, max_height):
-        terms: dict[Word, Laurent] = {}
-        for coeff, word in rel.terms:
-            key = _least_word(word, commuting)
-            terms[key] = terms.get(key, Laurent.zero()) + coeff
-        if nonzero := tuple((c, w) for w, c in terms.items() if c):
-            support = tuple((k, b) for k, b in enumerate(rel.weight) if b)
-            out.append((support, Relation(nonzero, rel.weight)))
+        support = tuple((k, b) for k, b in enumerate(rel.weight) if b)
+        (i, _), (j, _) = support
+        if datum.matrix[i][j]:
+            out.append((support, rel))
     return commuting, tuple(out)
 
 

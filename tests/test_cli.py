@@ -124,6 +124,19 @@ def test_geom_report(files, capsys):
     assert out[3] == "(eps, eps*) = v1:(0,2) v2:(1,0)"
 
 
+def test_geom_report_without_flag_or_weak_loops(tmp_path, capsys):
+    # The arrow 1 -> 2 and its reversal act by 1 on lines, so the moment map is
+    # +-1 at both vertices, no flag steps both arrows down, and there is no loop.
+    rep = {"quiver": {"vertices": 2, "omega_arrows": [[1, 2]]}, "dims": [1, 1],
+           "mats": {"h0": [[1]], "h1": [[1]]}}
+    path = tmp_path / "cycle_rep.json"
+    path.write_text(json.dumps(rep))
+    assert cli.main(["geom", "--rep", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["moment map: v1:NONZERO v2:NONZERO", "flag: not found (rational search)",
+                       "regular semisimple: vacuous (no weak loops)"]
+
+
 @pytest.mark.parametrize("argv, name", [
     (["dims", "--height", "2", "--oracle-bound", "8", "--cartan"], "exb.json"),
     (["geom", "--flag-bound", "8", "--rep"], "rep.json"),
@@ -171,14 +184,21 @@ def test_dims_large_entry_builds_only_short_relations(tmp_path, capsys, monkeypa
     assert all(line.endswith("\tok") for line in out[1:])
 
 
-def test_dims_builds_relations_once_per_height(tmp_path, capsys):
+def test_dims_builds_relations_once_per_height(tmp_path, capsys, monkeypatch):
     # 35 weights of height <= 3, but only the heights 0..3 need relations of their own.
     path = tmp_path / "rank4.json"
     path.write_text('{"matrix": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 0, -1], [0, 0, -1, 2]]}')
-    oracle.build_relations.cache_clear()
+    build_relations, calls = oracle.build_relations, []
+
+    def counted(datum, max_height):
+        calls.append(max_height)
+        return build_relations(datum, max_height)
+
+    monkeypatch.setattr(oracle, "build_relations", counted)
+    oracle._trace_relations.cache_clear()
     assert cli.main(["dims", "--cartan", str(path), "--height", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 36
-    assert oracle.build_relations.cache_info().misses <= 4
+    assert len(calls) <= 4
 
 
 def test_geom_large_entry_finds_flag(tmp_path, capsys):

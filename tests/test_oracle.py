@@ -226,6 +226,32 @@ def test_trace_generator_gives_the_least_word_of_each_swap_class(matrix):
             assert all(oracle._least_word(w, commuting) == least for w in cls), (alpha, least)
 
 
+def test_trace_relations_are_the_serre_relations_in_letters_that_do_not_commute():
+    # _trace_relations keeps relations by filtering alone.  That is sound when
+    # the kept ones are the Serre relations of real i and j != i with
+    # a_ij != 0, and their words are least in their traces and distinct.
+    for matrix in GATE_MATRICES + list(_random_matrices(300, seed=5)):
+        d = validate_datum(matrix)
+        n = d.index_count
+        expected = set()
+        for i in sorted(d.real_indices):
+            for j in range(1, n + 1):
+                if j != i and d.a(i, j) != 0:
+                    root = [0] * n
+                    root[i - 1], root[j - 1] = 1 - d.a(i, j), 1
+                    expected.add(tuple(root))
+        commuting, kept = oracle._trace_relations(d, DEFAULT_HEIGHT_BOUND)
+        assert commuting == _commuting(d), matrix
+        relations = build_relations(d, DEFAULT_HEIGHT_BOUND)
+        assert [rel for _, rel in kept] == [r for r in relations if r.weight in expected], matrix
+        assert {rel.weight for _, rel in kept} == expected, matrix
+        for support, rel in kept:
+            assert support == tuple((k, b) for k, b in enumerate(rel.weight) if b), matrix
+            words = [w for _, w in rel.terms]
+            assert all(oracle._least_word(w, commuting) == w for w in words), (matrix, rel)
+            assert len(set(words)) == len(words), (matrix, rel)
+
+
 def test_laurent_rank():
     one = Laurent.one()
     zero = Laurent.zero()
