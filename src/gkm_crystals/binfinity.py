@@ -309,13 +309,11 @@ class BInfinityCrystal(Crystal):
     def _walk(self, b: BInfElement, known=()) -> tuple[list[tuple[int, BInfElement]], BInfElement]:
         """Raising steps (j, x) from b to the head or a string in `known`, and where they stop.
 
-        Each takes the least j with e_j(x) not None; the height of wt(b) bounds their number.
+        Each takes the least j with e_j(x) not None; b's height, the sum of its string, bounds their number.
         """
-        steps, x = [], b
+        steps, x, bound = [], b, sum(b.entries) + 1
         while x.entries and x.entries not in known:
-            if not steps:
-                bound = -sum(self.wt(b)) + 1
-            elif len(steps) > bound:
+            if len(steps) > bound:
                 raise InternalInconsistencyError("raising word exceeds the weight height")
             for j in range(1, self.datum.index_count + 1):
                 y = self.e(j, x)

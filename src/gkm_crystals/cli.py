@@ -181,7 +181,7 @@ def cmd_geom(args) -> tuple[int, str]:
             rendered = ", ".join(f"(v{vertex}, [{', '.join(map(str, vec))}])" for vertex, vec in witness.steps)
         finally:
             sys.set_int_max_str_digits(digit_cap)
-        out.append(f"flag: found {rendered}\n")
+        out.append(f"flag: found {rendered}\n" if rendered else "flag: found\n")
     verdicts = regular_semisimple_verdicts(rep)
     if verdicts:
         out.append("regular semisimple: " + " ".join(f"h{k}:{str(v).lower()}" for k, v in sorted(verdicts.items())) + "\n")

@@ -328,7 +328,11 @@ def flag_exists(rep: QuiverRep) -> FlagWitness | None:
 
 
 def verify_flag(rep: QuiverRep, witness: FlagWitness) -> list[str]:
-    """Independent check of a flag witness; returns findings (empty = valid)."""
+    """Independent check of a flag witness; returns findings (empty = valid).
+
+    Each step is checked on its new vector alone: every earlier vector
+    passed against pieces no larger than today's, and pieces only grow.
+    """
     findings: list[str] = []
     nv = rep.quiver.vertex_count
     weak = set(rep.quiver.weak_positions())
@@ -339,20 +343,17 @@ def verify_flag(rep: QuiverRep, witness: FlagWitness) -> list[str]:
         if not 1 <= vertex <= nv or len(vec) != rep.dims[vertex - 1]:
             findings.append(f"step {idx}: bad vertex or vector length")
             return findings
-        prev = list(acc)  # the flag before this step; the grown piece gets a new basis
-        acc[vertex - 1] = EchelonBasis(rep.dims[vertex - 1], prev[vertex - 1].rows)
+        images = [(k, a.target - 1, rep.mats[k].apply_rows([vec])[0])
+                  for k, a in enumerate(rep.quiver.arrows) if a.source == vertex]
+        bad = [k for k, tgt, img in images if k not in weak and img not in acc[tgt]]  # the flag before the step
         if not acc[vertex - 1].add(vec):
             findings.append(f"step {idx}: vector does not increase the flag")
             return findings
-        for k, arrow in enumerate(rep.quiver.arrows):
-            src, tgt = arrow.source - 1, arrow.target - 1
-            img = rep.mats[k].apply_rows(acc[src].rows)
-            target_space = acc[tgt] if k in weak else prev[tgt]
-            kind = "weak" if k in weak else "strict"
-            for w in img:
-                if w not in target_space:
-                    findings.append(f"step {idx}: {kind} arrow h{k} leaves the required piece")
-                    return findings
+        bad += [k for k, tgt, img in images if k in weak and img not in acc[tgt]]  # the flag after it
+        if bad:
+            k = min(bad)
+            findings.append(f"step {idx}: {'weak' if k in weak else 'strict'} arrow h{k} leaves the required piece")
+            return findings
     for v in range(nv):
         if len(acc[v]) != rep.dims[v]:
             findings.append(f"flag does not exhaust vertex {v + 1}")

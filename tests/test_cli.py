@@ -137,6 +137,17 @@ def test_geom_report_without_flag_or_weak_loops(tmp_path, capsys):
                        "regular semisimple: vacuous (no weak loops)"]
 
 
+def test_geom_report_on_zero_dimensional_rep(tmp_path, capsys):
+    # The empty flag has no steps, so nothing follows "found".
+    path = tmp_path / "zero_rep.json"
+    path.write_text(json.dumps({"quiver": {"vertices": 1, "omega_arrows": []}, "dims": [0], "mats": {}}))
+    assert cli.main(["geom", "--rep", str(path)]) == 0
+    assert capsys.readouterr().out == ("moment map: v1:zero\n"
+                                       "flag: found\n"
+                                       "regular semisimple: vacuous (no weak loops)\n"
+                                       "(eps, eps*) = v1:(0,0)\n")
+
+
 @pytest.mark.parametrize("argv, name", [
     (["dims", "--height", "2", "--oracle-bound", "8", "--cartan"], "exb.json"),
     (["geom", "--flag-bound", "8", "--rep"], "rep.json"),

@@ -1,6 +1,7 @@
 """Pointwise invariants on quiver representations over exact rationals."""
 
 import random
+import re
 from fractions import Fraction as Q
 from itertools import product
 
@@ -570,3 +571,145 @@ def test_witnesses_match_the_recursive_reference():
             assert all(type(x) is Q for x in vec)
             assert vec == ref_vec, (k, rep)
     assert found >= 150 and none >= 50
+
+
+# -- the flag check against the every-piece reference -------------------------
+#
+# `_verify_flag_every_piece` is the check `verify_flag` replaced: at every step
+# it copies the pieces, rebuilds the grown one and pushes every row of every
+# piece through every arrow.  `verify_flag` checks the new vector alone and
+# must return the same findings, in the same order, on valid and broken
+# witnesses alike.
+
+
+def _verify_flag_every_piece(rep: QuiverRep, witness: FlagWitness) -> list[str]:
+    """Reference: the flag check that re-verifies every piece against every arrow at every step."""
+    findings: list[str] = []
+    nv = rep.quiver.vertex_count
+    weak = set(rep.quiver.weak_positions())
+    acc = [EchelonBasis(d) for d in rep.dims]
+    if len(witness.steps) != rep.total_dim():
+        findings.append(f"{len(witness.steps)} steps for total dimension {rep.total_dim()}")
+    for idx, (vertex, vec) in enumerate(witness.steps):
+        if not 1 <= vertex <= nv or len(vec) != rep.dims[vertex - 1]:
+            findings.append(f"step {idx}: bad vertex or vector length")
+            return findings
+        prev = list(acc)  # the flag before this step; the grown piece gets a new basis
+        acc[vertex - 1] = EchelonBasis(rep.dims[vertex - 1], prev[vertex - 1].rows)
+        if not acc[vertex - 1].add(vec):
+            findings.append(f"step {idx}: vector does not increase the flag")
+            return findings
+        for k, arrow in enumerate(rep.quiver.arrows):
+            src, tgt = arrow.source - 1, arrow.target - 1
+            img = rep.mats[k].apply_rows(acc[src].rows)
+            target_space = acc[tgt] if k in weak else prev[tgt]
+            kind = "weak" if k in weak else "strict"
+            for w in img:
+                if w not in target_space:
+                    findings.append(f"step {idx}: {kind} arrow h{k} leaves the required piece")
+                    return findings
+    for v in range(nv):
+        if len(acc[v]) != rep.dims[v]:
+            findings.append(f"flag does not exhaust vertex {v + 1}")
+    return findings
+
+
+_FINDING_KINDS = {
+    "step count": r"\d+ steps for total dimension \d+",
+    "bad step": r"step \d+: bad vertex or vector length",
+    "no increase": r"step \d+: vector does not increase the flag",
+    "strict": r"step \d+: strict arrow h\d+ leaves the required piece",
+    "weak": r"step \d+: weak arrow h\d+ leaves the required piece",
+    "exhaust": r"flag does not exhaust vertex \d+",
+}
+
+
+def _random_step(rng: random.Random, rep: QuiverRep) -> tuple[int, tuple[Q, ...]]:
+    v = rng.randint(1, rep.quiver.vertex_count)
+    return v, tuple(Q(rng.randint(-2, 2)) for _ in range(rep.dims[v - 1]))
+
+
+def _corruptions(rng: random.Random, rep: QuiverRep, steps: tuple) -> list[tuple]:
+    """Eight faults near `steps`: swap, perturb, drop, duplicate, append, malform, replace and shuffle."""
+    n, out = len(steps), []
+    i, j = rng.randrange(n), rng.randrange(n)
+    swapped = list(steps)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    out.append(swapped)
+    v, vec = steps[i]
+    c = rng.randrange(len(vec))
+    out.append(steps[:i] + ((v, vec[:c] + (vec[c] + rng.choice((-2, -1, 1, 2)),) + vec[c + 1:]),) + steps[i + 1:])
+    out.append(steps[:i] + steps[i + 1:])
+    out.append(steps[:j] + (steps[i],) + steps[j:])
+    out.append(steps + (_random_step(rng, rep),))
+    malformed = rng.choice(((0, vec), (rep.quiver.vertex_count + 1, vec), (v, vec + (Q(1),)), (v, vec[1:])))
+    out.append(steps[:i] + (malformed,) + steps[i + 1:])
+    out.append(steps[:i] + (_random_step(rng, rep),) + steps[i + 1:])
+    out.append(rng.sample(steps, n))
+    return [tuple(s) for s in out]
+
+
+def _reoriented(rep: QuiverRep) -> QuiverRep:
+    """The same representation with each non-loop Omega arrow traded for its reversal.
+
+    Flags do not see the orientation, but the arrow order does: a weak loop
+    can come before a strict arrow leaving the same vertex.
+    """
+    q = rep.quiver
+    swap = [k if a.source == a.target else q.partner(k) for k, a in enumerate(q.arrows)]
+    return QuiverRep(Quiver.from_omega_arrows(q.vertex_count, [(t, s) for s, t in q.omega]), rep.dims,
+                     tuple(rep.mats[k] for k in swap))
+
+
+def test_verify_flag_matches_the_every_piece_reference():
+    rng = random.Random(20261020)
+    kinds = ("flag", "flag", "loops", "random")
+    seen, witnesses = set(), 0
+    for k in range(360):
+        rep = _scrambled_rep(rng, sorted(_SHAPES)[k % len(_SHAPES)], kinds[(k // len(_SHAPES)) % len(kinds)])
+        rep = _reoriented(rep) if k % 2 else rep
+        found = flag_exists(rep)
+        if found is not None:
+            base = found.steps
+        else:  # shuffled random steps, as many at each vertex as its dimension
+            base = [(v, tuple(Q(rng.randint(-2, 2)) for _ in range(d))) for v, d in enumerate(rep.dims, start=1)
+                    for _ in range(d)]
+            base = tuple(rng.sample(base, len(base)))
+        for steps in [base] + _corruptions(rng, rep, base) + _corruptions(rng, rep, base):
+            witness = FlagWitness(steps)
+            findings = verify_flag(rep, witness)
+            assert findings == _verify_flag_every_piece(rep, witness), (k, steps)
+            witnesses += 1
+            for f in findings:
+                [kind] = [kind for kind, pattern in _FINDING_KINDS.items() if re.fullmatch(pattern, f)]
+                seen.add(kind)
+            if not findings:
+                seen.add("valid")
+    assert witnesses >= 5000
+    assert seen == set(_FINDING_KINDS) | {"valid"}
+
+
+def test_verify_flag_finding_texts():
+    rep = pinned_rep()
+    e1, e2, f1 = (1, (Q(1), Q(0))), (1, (Q(0), Q(1))), (2, (Q(1),))
+    assert flag_exists(rep).steps == (e1, e2, f1)
+    # h0 loop, h1 2 -> 1 and h3 1 -> 2 strict, h2 the weak loop; the flag is f1, e1, e2
+    weak_first = QuiverRep(Quiver.from_omega_arrows(2, [(1, 1), (2, 1)]), (2, 1),
+                           (_scalar(0, 2), _scalar(0, 2, 1), RatMat.from_rows([[1, 1], [0, 3]]),
+                            RatMat.from_rows([[0, 1]])))
+    cases = [
+        (rep, (e1, e2, f1), []),
+        (rep, (e1, e2), ["2 steps for total dimension 3", "flag does not exhaust vertex 2"]),
+        (rep, (e1, (2, (Q(1), Q(0))), f1), ["step 1: bad vertex or vector length"]),
+        (rep, (e1, (3, (Q(1),)), f1), ["step 1: bad vertex or vector length"]),
+        (rep, (e1, e1, f1), ["step 1: vector does not increase the flag"]),
+        (rep, (e1, e2, f1, f1), ["4 steps for total dimension 3", "step 3: vector does not increase the flag"]),
+        (rep, (f1, e1, e2), ["step 0: strict arrow h3 leaves the required piece"]),
+        (rep, (e2, e1, f1), ["step 0: weak arrow h2 leaves the required piece"]),
+        (weak_first, (f1, e1, e2), []),
+        # e2 leaves span(e2) under h2 and reaches V2 under h3: the first arrow in arrow order is blamed
+        (weak_first, (e2, f1, e1), ["step 0: weak arrow h2 leaves the required piece"]),
+        (weak_first, (e1, e2, f1), ["step 1: strict arrow h3 leaves the required piece"]),
+    ]
+    for r, steps, expected in cases:
+        assert verify_flag(r, FlagWitness(steps)) == expected == _verify_flag_every_piece(r, FlagWitness(steps))
