@@ -28,6 +28,10 @@ stored as its own record's element, so each element is held once.
 Transport strips an element to the head and replays the raising word as
 lowerings in the target, memoizing every image per target; the strip stops
 early at an element with an image, which was stripped to the head before.
+
+Starred statistics are read over the period rotated to its first i: eps*_i(b)
+is b's first coordinate there, and psi_embed's residual sets it to 0 (Kashiwara,
+Duke Math. J. 71, 1993; Kashiwara-Saito, Duke Math. J. 89, 1997).
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ class IotaSequence:
     period: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.period:
-            raise InputError("empty iota period")
+        if not isinstance(self.period, tuple) or not self.period:
+            raise InputError(f"iota period {self.period!r} is not a nonempty tuple")
         if any(not isinstance(i, int) or isinstance(i, bool) or i < 1 for i in self.period):
             raise InputError(f"bad iota period {self.period}")
 
@@ -80,13 +84,9 @@ class IotaSequence:
         if set(self.period) != set(range(1, n + 1)):
             raise InputError(f"iota period {self.period} does not cover indices 1..{n} exactly")
 
-    def i_first(self, index: int) -> "IotaSequence":
-        """A sequence starting with `index` (used to read off starred statistics)."""
-        return IotaSequence((index,) + self.period)
-
-    def shifted(self) -> "IotaSequence":
-        """The sequence with its first position dropped (period rotated left)."""
-        return IotaSequence(self.period[1:] + self.period[:1])
+    def rotated(self, k: int) -> "IotaSequence":
+        """The sequence with its first k positions dropped (period rotated left by k)."""
+        return IotaSequence(self.period[k:] + self.period[:k])
 
 
 @dataclass(frozen=True)
@@ -347,27 +347,26 @@ class BInfinityCrystal(Crystal):
         return z
 
     def _i_first(self, b: BInfElement, i: int) -> tuple["BInfinityCrystal", BInfElement, int]:
-        """The i-first realization, b transported there, and its outermost coordinate."""
+        """The realization over the period rotated to its first i, b transported there, and its first coordinate."""
         self.datum.check_index(i)
-        first = self.realization_with(self.iota.i_first(i))
+        first = self.realization_with(self.iota.rotated(self.iota.period.index(i)))
         t = self.transport(b, first)
         return first, t, t.entries[0] if t.entries else 0
 
     def eps_star(self, b: BInfElement, i: int) -> int:
-        """Starred statistic: the outermost coordinate after moving to an i-first iota."""
+        """Starred statistic: the first coordinate of b's string over the i-first rotation."""
         return self._i_first(b, i)[2]
 
     def psi_embed(self, b: BInfElement, i: int) -> tuple[BInfElement, ElementaryElement]:
         """Strict embedding into (this realization) (x) (elementary crystal at i).
 
-        Returns (residual, b_i(-c)) with c = eps_star(b, i); the residual is
-        b with c outermost i-lowerings unwound, expressed back over this
-        realization's iota.
+        Returns (b', b_i(-c)): c = eps_star(b, i) is the first coordinate of b's string t over the i-first
+        rotation, and as Im Psi_i = {b' (x) b_i(-m) : eps*_i(b') = 0}, b' is the string t with c set to 0
+        there, transported back (Kashiwara, Duke Math. J. 71, 1993; Kashiwara-Saito, Duke Math. J. 89, 1997).
         """
         first, t, c = self._i_first(b, i)
-        shifted = first.realization_with(first.iota.shifted())
-        back = shifted.transport(BInfElement(shifted.iota, t.entries[1:]), self)
-        return back, ElementaryElement(i, c)
+        residual = BInfElement(first.iota, (0, *t.entries[1:]) if len(t.entries) > 1 else ())
+        return first.transport(residual, self), ElementaryElement(i, c)
 
     def psi_morphism(self, i: int):
         """(psi, target) pair for strict-morphism checking of psi_embed at index i."""

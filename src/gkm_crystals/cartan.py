@@ -51,8 +51,8 @@ class BorcherdsCartanDatum:
         return len(self.matrix)
 
     def check_index(self, i: int) -> None:
-        if not 1 <= i <= self.index_count:
-            raise InputError(f"index {i} not in 1..{self.index_count}")
+        if type(i) is not int or not 1 <= i <= self.index_count:  # bool is an int subclass
+            raise InputError(f"index {i!r} not in 1..{self.index_count}")
 
     def a(self, i: int, j: int) -> int:
         self.check_index(i)

@@ -156,7 +156,7 @@ def cmd_verify(args) -> tuple[int, str]:
     ]
     check("every non-head node can be raised", stuck)
     reverse = IotaSequence(tuple(reversed(crystal.iota.period)))
-    alt = crystal.realization_with(reverse if reverse != crystal.iota else crystal.iota.shifted())
+    alt = crystal.realization_with(reverse if reverse != crystal.iota else crystal.iota.rotated(1))
     check(
         "iota independence (transport is a graph isomorphism)",
         transport_isomorphism_findings(crystal, alt, elements),

@@ -197,6 +197,6 @@ def test_criterion_8_round_trip_and_iota_independence():
                 up = crystal.e(i, b)
                 if up is not None and crystal.f(i, up) != b:
                     problems.append(f"{matrix}: f_{i} e_{i} != id at {crystal.key(b)}")
-        i_first = BInfinityCrystal(datum, crystal.iota.i_first(1))
+        i_first = BInfinityCrystal(datum, IotaSequence((1,) + crystal.iota.period))
         problems += [f"{matrix}: {m}" for m in transport_isomorphism_findings(crystal, i_first, elements)]
     report(8, "operator round trips and iota independence", problems, started, 10.0)

@@ -1,5 +1,6 @@
 """Coordinate-string realization of B(inf): operators, embeddings, transport."""
 
+import re
 from itertools import product
 
 import pytest
@@ -13,7 +14,7 @@ from gkm_crystals.binfinity import (
     graded_counts,
     transport_isomorphism_findings,
 )
-from gkm_crystals.cartan import validate_datum
+from gkm_crystals.cartan import pairing, validate_datum
 from gkm_crystals.crystal import check_strict_morphism, verify_axioms
 from gkm_crystals.elementary import ElementaryElement
 from gkm_crystals.errors import DepthExceededError, InputError, InternalInconsistencyError
@@ -41,8 +42,10 @@ LAYERS_4 = {
 def test_iota_sequence_basics():
     seq = IotaSequence.cyclic(3)
     assert seq.period == (1, 2, 3)
-    assert seq.i_first(3).period == (3, 1, 2, 3)
-    assert seq.shifted().period == (2, 3, 1)
+    assert seq.rotated(0) == seq
+    assert seq.rotated(1).period == (2, 3, 1)
+    assert seq.rotated(2).period == (3, 1, 2)
+    assert IotaSequence((2, 1, 2, 3)).rotated(1).period == (1, 2, 3, 2)
 
 
 def test_iota_sequence_validation():
@@ -62,6 +65,25 @@ def test_iota_sequence_validation():
 def test_iota_spec_entries_must_be_integers(period):
     with pytest.raises(InputError):
         IotaSequence.from_spec(period, 2)
+
+
+def test_a_period_that_is_not_a_tuple_is_rejected():
+    with pytest.raises(InputError, match=r"^iota period \[2, 1\] is not a nonempty tuple$"):
+        BInfinityCrystal(A2, IotaSequence([2, 1]))
+    assert IotaSequence.from_spec([2, 1], 2) == IotaSequence((2, 1))  # the spec may still be a list
+
+
+@pytest.mark.parametrize("index", [True, 1.0, "1"], ids=repr)
+def test_an_index_that_is_not_an_int_is_rejected(index):
+    c = BInfinityCrystal(A2)
+    b = c.f(1, c.highest_weight())
+    calls = [lambda: c.e(index, b), lambda: c.f(index, b), lambda: c.eps(index, b), lambda: c.phi(index, b),
+             lambda: c.eps_star(b, index), lambda: c.psi_embed(b, index),
+             lambda: A2.a(index, 1), lambda: A2.a(1, index), lambda: A2.is_real(index),
+             lambda: pairing(A2, index, (1, 0))]
+    for call in calls:
+        with pytest.raises(InputError, match=rf"^index {re.escape(repr(index))} not in 1\.\.2$"):
+            call()
 
 
 def test_element_canonical_form():
@@ -304,15 +326,17 @@ def test_gap_events_recorded_on_raising_descent():
 
 
 # Gap events of the acceptance gate's criterion 7 run on GAP (depth 4, every
-# psi_morphism), recorded from the uncached strip-and-replay implementation
-# with repeat firings dropped: distinct (key, index) pairs, first-firing order.
+# psi_morphism), with repeat firings dropped: distinct (key, index) pairs,
+# first-firing order.  psi_embed reads both indices on the rotations of the
+# period (1, 2), so the walks run over (1, 2) and (2, 1); the list equals
+# the one collected from fresh crystals per element (test below).
 GAP_EVENTS_CRITERION_7 = [
     ("0-1", 1), ("1-1", 1), ("[0-1]x[b1(0)]", 1), ("0-2", 1), ("2-1", 1),
     ("[0-1]x[b1(-1)]", 1), ("1-2", 1), ("[0-2]x[b1(0)]", 1), ("3-1", 1),
     ("[0-1]x[b1(-2)]", 1), ("2-2", 1), ("[0-2]x[b1(-1)]", 1), ("0-1-2-1", 1),
-    ("0-1-2-0-1", 1), ("4-1", 1), ("[0-1]x[b1(-3)]", 1), ("3-2", 1),
-    ("[0-2]x[b1(-2)]", 1), ("1-1-2-1", 1), ("0-1-3-1", 1), ("0-1-3-0-1", 1),
-    ("0-2-2-1", 1), ("0-2-2-0-1", 1), ("1-1-0-2-1", 1),
+    ("4-1", 1), ("[0-1]x[b1(-3)]", 1), ("3-2", 1), ("[0-2]x[b1(-2)]", 1),
+    ("1-1-2-1", 1), ("0-1-3-1", 1), ("0-2-2-1", 1), ("0-1-1", 1), ("0-2-1", 1),
+    ("0-3-1", 1), ("0-2-2", 1), ("0-4-1", 1), ("0-3-2", 1), ("0-1-1-2-1", 1),
 ]
 
 
@@ -323,6 +347,18 @@ def test_gap_events_are_distinct_pairs_in_first_firing_order():
         psi, target = c.psi_morphism(i)
         assert check_strict_morphism(psi, elements, c, target) == []
     assert list(c.gap_events) == GAP_EVENTS_CRITERION_7
+
+
+def test_gap_events_match_fresh_crystals_per_element():
+    elements, _, _ = BInfinityCrystal(GAP).enumerate_to_depth(4)
+    cold_gaps = {}
+    for i in (1, 2):
+        for b in elements:
+            fresh = BInfinityCrystal(GAP)
+            psi, target = fresh.psi_morphism(i)
+            assert check_strict_morphism(psi, [b], fresh, target) == []
+            cold_gaps.update(fresh.gap_events)
+    assert list(cold_gaps) == GAP_EVENTS_CRITERION_7
 
 
 def test_enumeration_cap():

@@ -69,7 +69,7 @@ def test_transport_to_another_period_is_a_graph_isomorphism(example):
     datum, iota = example
     crystal = BInfinityCrystal(datum, iota)
     reverse = IotaSequence(tuple(reversed(iota.period)))
-    alt = crystal.realization_with(reverse if reverse != iota else iota.shifted())
+    alt = crystal.realization_with(reverse if reverse != iota else iota.rotated(1))
     elements, _, _ = crystal.enumerate_to_depth(3)
     assert transport_isomorphism_findings(crystal, alt, elements) == []
 

@@ -3,9 +3,12 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from test_properties import PROPERTY_SETTINGS, data_and_periods
 
-from gkm_crystals.binfinity import BInfElement, BInfinityCrystal, IotaSequence
+from gkm_crystals.binfinity import BInfElement, BInfinityCrystal, IotaSequence, transport_isomorphism_findings
 from gkm_crystals.cartan import validate_datum
+from gkm_crystals.crystal import check_strict_morphism
 from gkm_crystals.elementary import ElementaryElement
 from gkm_crystals.errors import InternalInconsistencyError
 
@@ -43,9 +46,10 @@ def by_hand(datum, b, dst_iota):
 
 
 def psi_by_hand(datum, b, i):
-    first = b.iota.i_first(i)
-    t = by_hand(datum, b, first)
-    residual = BInfElement(first.shifted(), t.entries[1:])
+    """Psi_i by the older construction: through (i,) + period and then its left shift."""
+    period = b.iota.period
+    t = by_hand(datum, b, IotaSequence((i,) + period))
+    residual = BInfElement(IotaSequence(period + (i,)), t.entries[1:])
     return by_hand(datum, residual, b.iota), ElementaryElement(i, t.entries[0] if t.entries else 0)
 
 
@@ -90,6 +94,30 @@ def test_memoized_transport_matches_strip_and_replay(matrix):
                 assert warm["eps_star", b, i] == factor.level
 
 
+@PROPERTY_SETTINGS
+@given(data_and_periods())
+def test_psi_embed_matches_the_older_construction_on_random_data(example):
+    datum, iota = example
+    c = BInfinityCrystal(datum, iota)
+    for b in c.enumerate_to_depth(3)[0]:
+        for i in range(1, datum.index_count + 1):
+            residual, factor = psi_by_hand(datum, b, i)
+            assert c.psi_embed(b, i) == (residual, factor)
+            assert c.eps_star(b, i) == factor.level
+
+
+def test_a_verify_pass_builds_only_rotations_of_the_period():
+    c = BInfinityCrystal(M3)
+    elements = c.enumerate_to_depth(4)[0]
+    for i in (1, 2, 3):
+        psi, target = c.psi_morphism(i)
+        assert check_strict_morphism(psi, elements, c, target) == []
+    reverse = c.realization_with(IotaSequence((3, 2, 1)))
+    assert transport_isomorphism_findings(c, reverse, elements) == []
+    rotations = {IotaSequence((1, 2, 3)), IotaSequence((2, 3, 1)), IotaSequence((3, 1, 2))}
+    assert set(c._family) == rotations | {reverse.iota}
+
+
 # The two public walks from b: a strip to the head and a transport to the reversed realization.
 WALKS = {
     "strip_to_head": lambda c, b: c.strip_to_head(b),
@@ -115,7 +143,7 @@ def test_every_raising_operator_vanishing_is_stuck(monkeypatch, walk):
         walk(c, b)
 
 
-@pytest.mark.parametrize("dst_iota", [IotaSequence((3, 2, 1)), IotaSequence.cyclic(3).i_first(2)],
+@pytest.mark.parametrize("dst_iota", [IotaSequence((3, 2, 1)), IotaSequence((2, 1, 2, 3))],
                          ids=["reversed", "2-first"])
 def test_warm_transport_reads_only_records(monkeypatch, dst_iota):
     src = BInfinityCrystal(M3)
