@@ -10,21 +10,24 @@ where the head is a formal highest-weight element with weight zero and
 eps_i = phi_i = 0 for every index.  Strings are canonical: the last
 coordinate is nonzero (the empty string is the highest-weight element).
 
-The statistics and the operators come from one pass over the string from
-the head outward, reading tables of the matrix rows and the iota period
-built once per realization.  The pass folds the tensor statistics and
-asks the binary tensor routing rule (`tensor.route`) at every factor in
-an i-slot; an operator acts on the outermost factor at which the rule
-does not route head-side.  Before operating at index i the string is extended by zero
-coordinates up to the first i-slot lying head-side of every stored
-coordinate; with that extension the lowering operator always lands on a
+The statistics and both operators at index i come from one pass over the
+string from the head outward, reading tables of the matrix rows and the
+iota period built once per realization.  The pass reads the string
+extended by zero coordinates up to the first i-slot lying head-side of
+every stored coordinate (read first, the zeros change no statistic),
+folds the tensor statistics and asks the binary tensor routing rule
+(`tensor.route`) for both directions at every factor in an i-slot; an
+operator acts on the outermost factor at which the rule does not route
+head-side.  With that extension the lowering operator always lands on a
 factor, never on the head, so f_i is total and the realization is closed
 under it.
 
 Each realization keeps one record per string it has answered for, with
-eps_i and phi_i (once their checks have passed) and e_i and f_i (a
-vanishing operator included) for every index.  An operator's image is
-stored as its own record's element, so each element is held once.
+four slots per index that the one pass fills: eps_i (marked unchecked
+until its checks have passed), phi_i, and the landing factors of e_i and
+f_i, each replaced by its image (a vanishing operator included) when the
+image is first asked for.  An operator's image is stored as its own
+record's element, so each element is held once.
 Transport strips an element to the head and replays the raising word as
 lowerings in the target, memoizing every image per target; the strip stops
 early at an element with an image, which was stripped to the head before.
@@ -45,6 +48,7 @@ from .errors import InputError, InternalInconsistencyError
 from .tensor import TensorCrystal, TensorElement, route
 
 _UNSET = object()  # a record slot not yet computed
+_GAP = object()  # an e_i slot whose action falls in the annihilation gap, not yet logged
 
 
 @dataclass(frozen=True)
@@ -114,9 +118,14 @@ class BInfinityCrystal(Crystal):
 
     Each realization keeps one record per coordinate string it has
     answered for: the flat list [element, eps_1, phi_1, e_1, f_1, ...,
-    eps_n, phi_n, e_n, f_n], with `_UNSET` in the slots not yet computed.
-    An operator slot holds the image's own record element (or None), so
-    an element is stored once however many records point at it.
+    eps_n, phi_n, e_n, f_n], with `_UNSET` in the slots of an index not
+    yet scanned.  One `_scan` fills an index's four slots.  The eps slot
+    holds ~eps, a negative int, until the raising-string check has passed
+    and eps from then on.  An operator slot holds the landing factor, an
+    int, until the image is first asked for, and from then on the image's
+    own record element or None, so an element is stored once however many
+    records point at it; `_GAP` marks a raising gap not yet logged.  A
+    failed tripwire memoizes nothing (see `_fill`).
     """
 
     def __init__(self, datum: BorcherdsCartanDatum, iota: IotaSequence | None = None):
@@ -129,11 +138,14 @@ class BInfinityCrystal(Crystal):
         self._images: dict[IotaSequence, dict[tuple[int, ...], BInfElement]] = {}  # per target iota
         self._records: dict[tuple[int, ...], list] = {}  # one record per string, see the class docstring
         self._unset_slots = [_UNSET] * (4 * n)
-        # Per index i: real flag, a_ii, then a(i, iota_p) and [iota_p == i] per period slot p.
+        # Per index i: real flag, a_ii, a(i, iota_p) and [iota_p == i] per period slot p, and per
+        # string length mod the period the zeros that pad a string up to its first i-slot beyond it.
         rows, period = datum.matrix, self.iota.period
+        plen = len(period)
         self._tables = [None] + [
             (datum.is_real(i), rows[i - 1][i - 1], tuple(rows[i - 1][j - 1] for j in period),
-             tuple(j == i for j in period))
+             tuple(j == i for j in period),
+             tuple((0,) * (1 + next(d for d in range(plen) if period[(r + d) % plen] == i)) for r in range(plen)))
             for i in range(1, n + 1)]
 
     # -- elements ---------------------------------------------------------
@@ -164,71 +176,107 @@ class BInfinityCrystal(Crystal):
             coords[period[pos % len(period)] - 1] -= a
         return tuple(coords)
 
-    def _scan(self, raising: bool, i: int, entries):
-        """(eps_i, <h_i, wt>, phi_i, m, side) of a string, in one pass from the head.
+    def _scan(self, i: int, entries):
+        """(eps_i, <h_i, wt>, phi_i, up, side, down) of a string, in one pass from the head.
 
-        The pass folds the tensor statistics factor by factor and asks
-        `route` at every i-slot (off the i-slots eps_i is -inf, so the
-        action routes head-side there).  m is the outermost factor at which
-        `route` does not answer True and side its answer there; both are
-        None when the action routes head-side at every factor.
+        The pass reads the string padded with zeros up to the first i-slot
+        beyond it (the pad is read first and leaves every statistic at 0),
+        folds the tensor statistics factor by factor and asks `route` for
+        both directions at every i-slot (off the i-slots eps_i is -inf, so
+        both actions route head-side there).  up is the outermost factor at
+        which raising does not route head-side and side the answer there,
+        both None when raising routes head-side at every factor; down is the
+        outermost factor at which lowering does not, None if there is none.
         """
-        real, aii, cols, slots = self._tables[i]
+        real, aii, cols, slots, pads = self._tables[i]
         plen = len(slots)
+        entries += pads[len(entries) % plen]
         eps = wti = phi = 0
-        m = side = None
+        up = side = down = None
         for k in range(len(entries) - 1, -1, -1):
             p = k % plen
             wf = -entries[k] * cols[p]
             if slots[p]:
                 e = entries[k] if real else 0
-                answer = route(raising, real, aii, phi, e)
+                answer = route(True, real, aii, phi, e)
                 if answer is not True:
-                    m, side = k, answer
-                eps = max(eps, e - wti)
-                phi = max(phi, e) + wf
-            else:
-                phi += wf
+                    up, side = k, answer
+                if not route(False, real, aii, phi, e):
+                    down = k
+                if e - wti > eps:
+                    eps = e - wti
+                if e > phi:
+                    phi = e
+            phi += wf
             wti += wf
-        return eps, wti, phi, m, side
+        return eps, wti, phi, up, side, down
+
+    def _fill(self, i: int, b: BInfElement):
+        """(eps_i, <h_i, wt>, phi_i, e landing, f landing) of b from one scan, memoized in b's record.
+
+        The e landing is the factor that e_i lowers, None when e_i vanishes
+        (the head or a level-0 factor) or `_GAP` (the annihilation gap); the
+        f landing is the factor that f_i raises, None when there is none.
+        The record takes ~eps (an unchecked eps is negative, a checked one
+        is not), phi and the landings only when phi = eps + <h_i, wt> holds
+        and an imaginary eps is 0, and the f landing only when it is a
+        factor: a scan that breaks any of these memoizes nothing, so the
+        string is scanned again, and trips, on the next request.
+        """
+        entries = b.entries
+        eps, wti, phi, up, side, down = self._scan(i, entries)
+        if up is not None and side is None:
+            up = _GAP  # eps < phi <= eps - a_ii: annihilation gap
+        elif up is None or up >= len(entries) or entries[up] == 0:
+            up = None  # raising the head or a level-0 factor vanishes
+        if phi == eps + wti and (eps == 0 or self._tables[i][0]):
+            rec = self._record(entries, b)
+            k = 4 * i - 3
+            if rec[k] is _UNSET:  # else a scan again after a failed f, which fills only the f slot
+                rec[k], rec[k + 1], rec[k + 2] = ~eps, phi, up
+            if down is not None:
+                rec[k + 3] = down
+        return eps, wti, phi, up, down
 
     def _stats(self, i: int, b: BInfElement) -> tuple[int, int]:
-        """(eps_i, phi_i) of b from one pass, memoized in b's record.
+        """(eps_i, phi_i) of b from its record, checked once and then memoized there.
 
         Tripwires: the tensor statistics must satisfy phi = eps + <h_i, wt>,
         an imaginary eps must be 0, and a real eps must be the length of the
         raising string.  That length is checked by induction on verified
         values: eps = 0 exactly when e_i vanishes, and otherwise e_i(b) has
         a checked eps one less.  The walk up the string is a loop that stops
-        at the first memoized element or at a vanishing e_i, and values are
-        memoized only once the whole walk has passed.
+        at the first checked element or at a vanishing e_i, and eps is
+        marked checked only once the whole walk has passed.
         """
         self._own(b)
         self.datum.check_index(i)
         k = 4 * i - 3  # the eps_i slot of a record; phi_i follows it
         records = self._records
         rec = records.get(b.entries)
-        if rec is not None and rec[k] is not _UNSET:
-            return rec[k], rec[k + 1]
+        val = _UNSET if rec is None else rec[k]
+        if val is not _UNSET and val >= 0:
+            return val, rec[k + 1]
         real = self._tables[i][0]
-        chain, x, known = [], b, _UNSET  # chain: (element, eps, phi) awaiting memoization
+        chain, x = [], b  # chain: (element, eps) awaiting the check
         while True:
-            if known is _UNSET:
-                val, wti, phi, _, _ = self._scan(False, i, x.entries)
+            known = val is not _UNSET and val >= 0
+            if val is _UNSET:
+                val, wti, phi, _, _ = self._fill(i, x)
                 if phi != val + wti:
                     raise InternalInconsistencyError(
                         f"tensor statistics break phi = eps + <h_i,wt> at {self.key(x)}, index {i}")
                 if not real and val != 0:
                     raise InternalInconsistencyError(f"imaginary eps_{i} = {val} != 0 at {self.key(x)}")
-            else:
-                val = known
+            elif not known:
+                val = ~val
             if chain and val != chain[-1][1] - 1:
-                below, below_eps, _ = chain[-1]
+                below, below_eps = chain[-1]
                 raise InternalInconsistencyError(
                     f"real eps_{i} = {below_eps} at {self.key(below)} but e_{i} of it has eps_{i} = {val}")
-            if known is not _UNSET:
+            if known:
                 break
-            chain.append((x, val, phi))
+            chain.append((x, val))
             x = self.e(i, x) if real else None
             if (x is None) != (val == 0):
                 raise InternalInconsistencyError(
@@ -237,11 +285,11 @@ class BInfinityCrystal(Crystal):
             if x is None:
                 break
             rec = records.get(x.entries)
-            known = _UNSET if rec is None else rec[k]
-        for x, val, phi in chain:
-            rec = self._record(x.entries, x)
-            rec[k], rec[k + 1] = val, phi
-        return chain[0][1:]
+            val = _UNSET if rec is None else rec[k]
+        for x, val in chain:  # each passed the identities, so _fill made its record
+            records[x.entries][k] = val
+        rec = records[b.entries]
+        return rec[k], rec[k + 1]
 
     def eps(self, i: int, b: BInfElement):
         return self._stats(i, b)[0]
@@ -252,39 +300,36 @@ class BInfinityCrystal(Crystal):
     # -- operators --------------------------------------------------------
 
     def _act(self, raising: bool, i: int, b: BInfElement):
-        """e_i or f_i of b, memoized in b's record; the image is its own record's element.
+        """e_i or f_i of b from its record; the image is its own record's element.
 
-        The string is padded with zeros up to the first i-slot beyond it,
-        and the action lands on the factor m that `_scan` reports.
+        The slot holds the landing factor from b's scan until the image is
+        first asked for, and the image from then on; an image is memoized
+        only where its scan was.
         """
         self._own(b)
         self.datum.check_index(i)
         slot = 4 * i - 1 if raising else 4 * i
         rec = self._records.get(b.entries)
-        if rec is not None and rec[slot] is not _UNSET:
-            return rec[slot]
-        slots = self._tables[i][3]
-        entries = list(b.entries) + [0]  # pad up to the first i-slot beyond the string
-        while not slots[(len(entries) - 1) % len(slots)]:
-            entries.append(0)
-        m, side = self._scan(raising, i, entries)[3:]
-        if m is None:
-            if not raising:
-                raise InternalInconsistencyError("lowering descent reached the head despite slot extension")
-            image = None  # descent reached the head; raising the head vanishes
-        elif side is None:  # eps < phi <= eps - a_ii: annihilation gap
-            self.gap_events[self.key(b), i] = None
-            image = None
-        elif raising and entries[m] == 0:
-            image = None  # raising a level-0 factor vanishes
-        else:
-            entries[m] += -1 if raising else 1
+        landing = _UNSET if rec is None else rec[slot]
+        if landing is _UNSET:
+            _, _, _, up, down = self._fill(i, b)
+            landing = up if raising else down
+            rec = self._records.get(b.entries)
+        if type(landing) is int:  # build the image
+            entries = [*b.entries, *[0] * (landing + 1 - len(b.entries))]  # f may land in the pad
+            entries[landing] += -1 if raising else 1
             while entries and entries[-1] == 0:
                 entries.pop()
             image = self._record(tuple(entries))[0]
-        if rec is None:
-            rec = self._record(b.entries, b)
-        rec[slot] = image
+        elif landing is _GAP:
+            self.gap_events[self.key(b), i] = None
+            image = None
+        elif landing is None and not raising:
+            raise InternalInconsistencyError("lowering descent reached the head despite slot extension")
+        else:
+            return landing  # a memoized image, or None where e_i vanishes
+        if rec is not None and rec[slot] is not _UNSET:
+            rec[slot] = image
         return image
 
     def f(self, i: int, b: BInfElement) -> BInfElement:

@@ -15,7 +15,7 @@ from gkm_crystals.binfinity import (
     transport_isomorphism_findings,
 )
 from gkm_crystals.cartan import pairing, validate_datum
-from gkm_crystals.crystal import check_strict_morphism, verify_axioms
+from gkm_crystals.crystal import check_strict_morphism, generate_graph, verify_axioms
 from gkm_crystals.elementary import ElementaryElement
 from gkm_crystals.errors import DepthExceededError, InputError, InternalInconsistencyError
 from gkm_crystals.oracle import graded_dim
@@ -396,9 +396,9 @@ def plant_scan(monkeypatch, d_eps, d_phi):
     """Shift the tensor eps_i and phi_i of every string by the given amounts."""
     original = BInfinityCrystal._scan
 
-    def shifted(self, raising, i, entries):
-        eps, wti, phi, m, side = original(self, raising, i, entries)
-        return eps + d_eps, wti, phi + d_phi, m, side
+    def shifted(self, i, entries):
+        eps, wti, phi, *landings = original(self, i, entries)
+        return eps + d_eps, wti, phi + d_phi, *landings
 
     monkeypatch.setattr(BInfinityCrystal, "_scan", shifted)
 
@@ -435,15 +435,20 @@ def test_raising_step_skipping_an_element_trips(monkeypatch, memoized_first):
 
 def test_phi_identity_trips(monkeypatch):
     plant_scan(monkeypatch, 0, 1)
-    with pytest.raises(InternalInconsistencyError, match="phi = eps"):
-        BInfinityCrystal(SL2).phi(1, sl2_string(2))
+    c = BInfinityCrystal(SL2)
+    for _ in range(2):  # the failed check memoizes nothing, so asking again trips again
+        with pytest.raises(InternalInconsistencyError, match="phi = eps"):
+            c.phi(1, sl2_string(2))
+    assert c._records == {}  # no record, so no statistic and no operator slot filled
 
 
 def test_imaginary_eps_trips(monkeypatch):
     plant_scan(monkeypatch, 1, 1)
     c = BInfinityCrystal(TWO_IMAG)
+    b = c.f(1, c.highest_weight())
     with pytest.raises(InternalInconsistencyError, match="imaginary eps_1 = 1"):
-        c.eps(1, c.f(1, c.highest_weight()))
+        c.eps(1, b)
+    assert c._records[b.entries][1:5] == [_UNSET] * 4  # b's record (made as an image) has index 1 unfilled
 
 
 # -- the per-string records ----------------------------------------------------
@@ -461,19 +466,32 @@ def test_operator_slots_hold_the_images_own_record_element(datum):
     records = c._records
     assert all(records[b.entries][0] is b for b in elements)
     images = [rec[slot] for rec in records.values() for i in range(1, n + 1) for slot in (4 * i - 1, 4 * i)]
-    images = [x for x in images if x is not None and x is not _UNSET]
+    images = [x for x in images if isinstance(x, BInfElement)]  # a slot not yet asked for holds a landing factor
     assert len(images) > len(elements)
     assert all(x is records[x.entries][0] for x in images)
+
+
+@pytest.mark.parametrize("datum, depth", [(M3, 8), (GAP, 10)], ids=["M3", "GAP"])
+def test_graph_scans_each_element_once_per_index(monkeypatch, datum, depth):
+    elements, _, _ = BInfinityCrystal(datum).enumerate_to_depth(depth)
+    scans = []
+    original = BInfinityCrystal._scan
+    monkeypatch.setattr(BInfinityCrystal, "_scan",
+                        lambda self, i, entries: scans.append((entries, i)) or original(self, i, entries))
+    c = BInfinityCrystal(datum)
+    graph = generate_graph(c, c.highest_weight(), depth)
+    assert len(graph.nodes) == len(elements)
+    assert sorted(scans) == sorted((b.entries, i) for b in elements for i in range(1, datum.index_count + 1))
 
 
 def test_lowering_reaching_the_head_trips_and_memoizes_nothing(monkeypatch):
     original = BInfinityCrystal._scan
 
-    def headward(self, raising, i, entries):
-        eps, wti, phi, m, side = original(self, raising, i, entries)
-        if not raising and 2 in entries:  # f_1 at the string (2,) finds no factor to act on
-            m = side = None
-        return eps, wti, phi, m, side
+    def headward(self, i, entries):
+        eps, wti, phi, up, side, down = original(self, i, entries)
+        if 2 in entries:  # f_1 at the string (2,) finds no factor to act on
+            down = None
+        return eps, wti, phi, up, side, down
 
     monkeypatch.setattr(BInfinityCrystal, "_scan", headward)
     c = BInfinityCrystal(SL2)
@@ -483,6 +501,8 @@ def test_lowering_reaching_the_head_trips_and_memoizes_nothing(monkeypatch):
         with pytest.raises(InternalInconsistencyError, match="lowering descent reached the head"):
             c.f(1, b)
     assert c._records[b.entries][4] is _UNSET
+    monkeypatch.undo()  # with the fault gone, f scans again and acts
+    assert c.f(1, b) == sl2_string(3)
 
 
 def test_a_bad_index_is_rejected_before_any_record_is_read():

@@ -1,10 +1,13 @@
 """Binary tensor rule: statistics, routing, the imaginary gap, associativity."""
 
+import re
+
 import pytest
 
 from gkm_crystals.cartan import validate_datum
 from gkm_crystals.crystal import NEG_INF, verify_axioms
 from gkm_crystals.elementary import ElementaryCrystal
+from gkm_crystals.errors import InputError
 from gkm_crystals.tensor import TensorCrystal, TensorElement
 
 REAL = validate_datum([[2]])
@@ -29,6 +32,15 @@ def test_statistics_max_formulas():
     assert c.eps(1, b) == 4
     assert c.phi(1, b) == -2
     assert c.phi(1, b) == c.eps(1, b) + 2 * (-3)  # eps + <h, wt>
+
+
+def test_a_bad_index_raises_the_datum_text():
+    c = pair_crystal(EXB, 1, 2)
+    b = TensorElement(c.left.element(1), c.right.element(0))
+    for op in (c.e, c.f, c.eps, c.phi):
+        for i in (0, 3, True, 1.0, "1"):
+            with pytest.raises(InputError, match=rf"^index {re.escape(repr(i))} not in 1\.\.2$"):
+                op(i, b)
 
 
 def test_foreign_index_stays_frozen():
