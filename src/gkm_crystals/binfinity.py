@@ -23,11 +23,12 @@ factor, never on the head, so f_i is total and the realization is closed
 under it.
 
 Each realization keeps one record per string it has answered for, with
-four slots per index that the one pass fills: eps_i (marked unchecked
-until its checks have passed), phi_i, and the landing factors of e_i and
-f_i, each replaced by its image (a vanishing operator included) when the
-image is first asked for.  An operator's image is stored as its own
-record's element, so each element is held once.
+four slots per index that the one pass fills together once its tripwires
+have passed: eps_i (a real one marked unchecked until its raising string
+has been checked), phi_i, and the landing factors of e_i and f_i, each
+replaced by its image (a vanishing operator included) when the image is
+first asked for.  An operator's image is stored as its own record's
+element, so each element is held once.
 Transport strips an element to the head and replays the raising word as
 lowerings in the target, memoizing every image per target; the strip stops
 early at an element with an image, which was stripped to the head before.
@@ -101,8 +102,8 @@ class BInfElement:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(a < 0 for a in self.entries):
-            raise InputError(f"negative coordinate in {self.entries}")
+        if type(self.entries) is not tuple or any(type(a) is not int or a < 0 for a in self.entries):
+            raise InputError(f"coordinate string {self.entries!r} is not a tuple of nonnegative ints")
         if self.entries and self.entries[-1] == 0:
             raise InputError(f"trailing zero coordinate in {self.entries}; string is not canonical")
 
@@ -119,13 +120,15 @@ class BInfinityCrystal(Crystal):
     Each realization keeps one record per coordinate string it has
     answered for: the flat list [element, eps_1, phi_1, e_1, f_1, ...,
     eps_n, phi_n, e_n, f_n], with `_UNSET` in the slots of an index not
-    yet scanned.  One `_scan` fills an index's four slots.  The eps slot
-    holds ~eps, a negative int, until the raising-string check has passed
-    and eps from then on.  An operator slot holds the landing factor, an
-    int, until the image is first asked for, and from then on the image's
-    own record element or None, so an element is stored once however many
-    records point at it; `_GAP` marks a raising gap not yet logged.  A
-    failed tripwire memoizes nothing (see `_fill`).
+    yet scanned.  `_fill` writes an index's four slots together from one
+    `_scan`, after its tripwires have passed, or writes none.  A real eps
+    slot holds ~eps, a negative int, until the raising-string check has
+    passed and eps from then on; an imaginary one holds 0, checked by the
+    scan.  An operator slot holds the landing factor, an int, until the
+    image is first asked for, and from then on the image's own record
+    element or None, so an element is stored once however many records
+    point at it; `_GAP` marks a raising gap not yet logged.  A failed
+    tripwire memoizes nothing.
     """
 
     def __init__(self, datum: BorcherdsCartanDatum, iota: IotaSequence | None = None):
@@ -211,84 +214,69 @@ class BInfinityCrystal(Crystal):
             wti += wf
         return eps, wti, phi, up, side, down
 
-    def _fill(self, i: int, b: BInfElement):
-        """(eps_i, <h_i, wt>, phi_i, e landing, f landing) of b from one scan, memoized in b's record.
+    def _fill(self, i: int, b: BInfElement) -> list:
+        """b's record with index i filled, by one scan on first use; every statistic and operator reads it here.
 
-        The e landing is the factor that e_i lowers, None when e_i vanishes
-        (the head or a level-0 factor) or `_GAP` (the annihilation gap); the
-        f landing is the factor that f_i raises, None when there is none.
-        The record takes ~eps (an unchecked eps is negative, a checked one
-        is not), phi and the landings only when phi = eps + <h_i, wt> holds
-        and an imaginary eps is 0, and the f landing only when it is a
-        factor: a scan that breaks any of these memoizes nothing, so the
-        string is scanned again, and trips, on the next request.
+        The scan's tripwires (phi = eps + <h_i, wt>, an imaginary eps of 0, a
+        lowering that lands on a factor) run before anything is written, so a
+        failed one memoizes nothing and trips again on the next request.
+        Then all four slots are written: ~eps at a real index (negative until
+        `_stats` has checked it) and 0 at an imaginary one, phi, the e landing
+        (the factor e_i lowers; None where e_i vanishes, at the head or a
+        level-0 factor; `_GAP` in the annihilation gap) and the f landing.
         """
+        k = 4 * i - 3  # the eps_i slot of a record; phi_i, e_i and f_i follow it
         entries = b.entries
+        rec = self._records.get(entries)
+        if rec is not None and rec[k] is not _UNSET:
+            return rec
         eps, wti, phi, up, side, down = self._scan(i, entries)
+        real = self._tables[i][0]
+        if phi != eps + wti:
+            raise InternalInconsistencyError(
+                f"tensor statistics break phi = eps + <h_i,wt> at {self.key(b)}, index {i}")
+        if not real and eps != 0:
+            raise InternalInconsistencyError(f"imaginary eps_{i} = {eps} != 0 at {self.key(b)}")
+        if down is None:
+            raise InternalInconsistencyError("lowering descent reached the head despite slot extension")
         if up is not None and side is None:
             up = _GAP  # eps < phi <= eps - a_ii: annihilation gap
         elif up is None or up >= len(entries) or entries[up] == 0:
             up = None  # raising the head or a level-0 factor vanishes
-        if phi == eps + wti and (eps == 0 or self._tables[i][0]):
+        if rec is None:
             rec = self._record(entries, b)
-            k = 4 * i - 3
-            if rec[k] is _UNSET:  # else a scan again after a failed f, which fills only the f slot
-                rec[k], rec[k + 1], rec[k + 2] = ~eps, phi, up
-            if down is not None:
-                rec[k + 3] = down
-        return eps, wti, phi, up, down
+        rec[k:k + 4] = ~eps if real else 0, phi, up, down
+        return rec
 
     def _stats(self, i: int, b: BInfElement) -> tuple[int, int]:
-        """(eps_i, phi_i) of b from its record, checked once and then memoized there.
+        """(eps_i, phi_i) of b from its record (see `_fill`), a real eps checked once and then marked there.
 
-        Tripwires: the tensor statistics must satisfy phi = eps + <h_i, wt>,
-        an imaginary eps must be 0, and a real eps must be the length of the
-        raising string.  That length is checked by induction on verified
-        values: eps = 0 exactly when e_i vanishes, and otherwise e_i(b) has
-        a checked eps one less.  The walk up the string is a loop that stops
-        at the first checked element or at a vanishing e_i, and eps is
-        marked checked only once the whole walk has passed.
+        A real eps must be the length of the raising string, checked by
+        induction on verified values: eps = 0 exactly when e_i vanishes, and
+        otherwise e_i(b) has a checked eps one less.  The walk up the string
+        is a loop that stops at the first checked element or at a vanishing
+        e_i, and eps is marked checked only once the whole walk has passed.
         """
         self._own(b)
         self.datum.check_index(i)
-        k = 4 * i - 3  # the eps_i slot of a record; phi_i follows it
-        records = self._records
-        rec = records.get(b.entries)
-        val = _UNSET if rec is None else rec[k]
-        if val is not _UNSET and val >= 0:
-            return val, rec[k + 1]
-        real = self._tables[i][0]
-        chain, x = [], b  # chain: (element, eps) awaiting the check
-        while True:
-            known = val is not _UNSET and val >= 0
-            if val is _UNSET:
-                val, wti, phi, _, _ = self._fill(i, x)
-                if phi != val + wti:
-                    raise InternalInconsistencyError(
-                        f"tensor statistics break phi = eps + <h_i,wt> at {self.key(x)}, index {i}")
-                if not real and val != 0:
-                    raise InternalInconsistencyError(f"imaginary eps_{i} = {val} != 0 at {self.key(x)}")
-            elif not known:
-                val = ~val
-            if chain and val != chain[-1][1] - 1:
-                below, below_eps = chain[-1]
+        k = 4 * i - 3
+        rec = x = self._fill(i, b)
+        chain = []  # records whose eps awaits the check
+        while x[k] < 0:
+            chain.append(x)
+            eps, y = ~x[k], self.e(i, x[0])
+            if (y is None) != (eps == 0):
                 raise InternalInconsistencyError(
-                    f"real eps_{i} = {below_eps} at {self.key(below)} but e_{i} of it has eps_{i} = {val}")
-            if known:
+                    f"real eps_{i} = {eps} at {self.key(x[0])} but e_{i} {'vanishes' if y is None else 'acts'} there")
+            if y is None:
                 break
-            chain.append((x, val))
-            x = self.e(i, x) if real else None
-            if (x is None) != (val == 0):
+            below, x = x[0], self._fill(i, y)
+            val = x[k] if x[k] >= 0 else ~x[k]
+            if val != eps - 1:
                 raise InternalInconsistencyError(
-                    f"real eps_{i} = {val} at {self.key(chain[-1][0])} but e_{i} "
-                    f"{'vanishes' if x is None else 'acts'} there")
-            if x is None:
-                break
-            rec = records.get(x.entries)
-            val = _UNSET if rec is None else rec[k]
-        for x, val in chain:  # each passed the identities, so _fill made its record
-            records[x.entries][k] = val
-        rec = records[b.entries]
+                    f"real eps_{i} = {eps} at {self.key(below)} but e_{i} of it has eps_{i} = {val}")
+        for x in chain:
+            x[k] = ~x[k]
         return rec[k], rec[k + 1]
 
     def eps(self, i: int, b: BInfElement):
@@ -302,19 +290,14 @@ class BInfinityCrystal(Crystal):
     def _act(self, raising: bool, i: int, b: BInfElement):
         """e_i or f_i of b from its record; the image is its own record's element.
 
-        The slot holds the landing factor from b's scan until the image is
-        first asked for, and the image from then on; an image is memoized
-        only where its scan was.
+        The slot holds the landing factor from b's scan (see `_fill`) until
+        the image is first asked for, and the image from then on.
         """
         self._own(b)
         self.datum.check_index(i)
+        rec = self._fill(i, b)
         slot = 4 * i - 1 if raising else 4 * i
-        rec = self._records.get(b.entries)
-        landing = _UNSET if rec is None else rec[slot]
-        if landing is _UNSET:
-            _, _, _, up, down = self._fill(i, b)
-            landing = up if raising else down
-            rec = self._records.get(b.entries)
+        landing = rec[slot]
         if type(landing) is int:  # build the image
             entries = [*b.entries, *[0] * (landing + 1 - len(b.entries))]  # f may land in the pad
             entries[landing] += -1 if raising else 1
@@ -324,12 +307,9 @@ class BInfinityCrystal(Crystal):
         elif landing is _GAP:
             self.gap_events[self.key(b), i] = None
             image = None
-        elif landing is None and not raising:
-            raise InternalInconsistencyError("lowering descent reached the head despite slot extension")
         else:
             return landing  # a memoized image, or None where e_i vanishes
-        if rec is not None and rec[slot] is not _UNSET:
-            rec[slot] = image
+        rec[slot] = image
         return image
 
     def f(self, i: int, b: BInfElement) -> BInfElement:

@@ -25,6 +25,8 @@ class ElementaryElement:
     level: int
 
     def __post_init__(self) -> None:
+        if type(self.index) is not int or type(self.level) is not int:
+            raise InputError(f"elementary element index {self.index!r} and level {self.level!r} must be ints")
         if self.level < 0:
             raise InputError(f"negative level {self.level}")
 

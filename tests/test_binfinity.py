@@ -95,6 +95,20 @@ def test_element_canonical_form():
     assert BInfElement(seq, ()).entries == ()
 
 
+@pytest.mark.parametrize("entries", [(1.0,), [1], ("1",), (True,), (1, 2.5), 1], ids=repr)
+def test_a_coordinate_string_that_is_not_a_tuple_of_ints_is_rejected(entries):
+    with pytest.raises(InputError, match="is not a tuple of nonnegative ints"):
+        BInfElement(IotaSequence.cyclic(3), entries)
+
+
+def test_a_float_string_cannot_take_the_record_of_its_int_string():
+    c = BInfinityCrystal(M3)
+    with pytest.raises(InputError):  # (1.0,) == (1,), so an accepted float string would share their record
+        c.f(2, BInfElement(c.iota, (1.0,)))
+    assert c.key(c.f(2, BInfElement(c.iota, (1,)))) == "1-1"
+    assert all(type(x) is int for entries in c._records for x in entries)
+
+
 def test_highest_weight_statistics():
     c = BInfinityCrystal(EXB)
     hw = c.highest_weight()
@@ -392,13 +406,13 @@ def plant_e(monkeypatch, fault):
     monkeypatch.setattr(BInfinityCrystal, "e", lambda self, i, b: fault(original, self, i, b))
 
 
-def plant_scan(monkeypatch, d_eps, d_phi):
-    """Shift the tensor eps_i and phi_i of every string by the given amounts."""
+def plant_scan(monkeypatch, d_eps, d_phi, lowering_lands=True):
+    """Shift the tensor eps_i and phi_i of every string by the given amounts, and maybe drop its lowering landing."""
     original = BInfinityCrystal._scan
 
     def shifted(self, i, entries):
-        eps, wti, phi, *landings = original(self, i, entries)
-        return eps + d_eps, wti, phi + d_phi, *landings
+        eps, wti, phi, up, side, down = original(self, i, entries)
+        return eps + d_eps, wti, phi + d_phi, up, side, down if lowering_lands else None
 
     monkeypatch.setattr(BInfinityCrystal, "_scan", shifted)
 
@@ -443,12 +457,32 @@ def test_phi_identity_trips(monkeypatch):
 
 
 def test_imaginary_eps_trips(monkeypatch):
-    plant_scan(monkeypatch, 1, 1)
     c = BInfinityCrystal(TWO_IMAG)
-    b = c.f(1, c.highest_weight())
-    with pytest.raises(InternalInconsistencyError, match="imaginary eps_1 = 1"):
-        c.eps(1, b)
-    assert c._records[b.entries][1:5] == [_UNSET] * 4  # b's record (made as an image) has index 1 unfilled
+    b = c.f(1, c.highest_weight())  # b's record is made as an image, with index 1 unfilled
+    plant_scan(monkeypatch, 1, 1)
+    for _ in range(2):  # the failed check memoizes nothing, so asking again trips again
+        with pytest.raises(InternalInconsistencyError, match="imaginary eps_1 = 1"):
+            c.eps(1, b)
+    assert c._records[b.entries][1:5] == [_UNSET] * 4
+
+
+@pytest.mark.parametrize("op", ["e", "f", "eps", "phi"])
+@pytest.mark.parametrize("datum, fault, message", [
+    (M3, (0, 1), r"^tensor statistics break phi = eps \+ <h_i,wt> at 2, index 1$"),
+    (TWO_IMAG, (1, 1), r"^imaginary eps_1 = 1 != 0 at 2$"),
+    (M3, (0, 0, False), r"^lowering descent reached the head despite slot extension$"),
+], ids=["phi-identity", "imaginary-eps", "headward-lowering"])
+def test_every_scan_tripwire_trips_every_call_and_memoizes_nothing(monkeypatch, datum, fault, message, op):
+    c = BInfinityCrystal(datum)
+    b = c.f(1, c.f(1, c.highest_weight()))  # the head and (1,) have index 1 filled, b has not
+    before = {entries: list(rec) for entries, rec in c._records.items()}
+    plant_scan(monkeypatch, *fault)
+    for _ in range(2):  # a failed scan memoizes nothing, so asking again trips again
+        with pytest.raises(InternalInconsistencyError, match=message):
+            getattr(c, op)(1, b)
+        assert c._records == before
+    monkeypatch.undo()  # with the fault gone, the call answers as on a fresh crystal
+    assert getattr(c, op)(1, b) == getattr(BInfinityCrystal(datum), op)(1, b)
 
 
 # -- the per-string records ----------------------------------------------------
@@ -485,22 +519,14 @@ def test_graph_scans_each_element_once_per_index(monkeypatch, datum, depth):
 
 
 def test_lowering_reaching_the_head_trips_and_memoizes_nothing(monkeypatch):
-    original = BInfinityCrystal._scan
-
-    def headward(self, i, entries):
-        eps, wti, phi, up, side, down = original(self, i, entries)
-        if 2 in entries:  # f_1 at the string (2,) finds no factor to act on
-            down = None
-        return eps, wti, phi, up, side, down
-
-    monkeypatch.setattr(BInfinityCrystal, "_scan", headward)
     c = BInfinityCrystal(SL2)
-    b = sl2_string(2)
-    assert c.eps(1, b) == 2  # b has a record, with its eps, phi and e filled
-    for _ in range(2):  # the failed f memoizes nothing, so asking again trips again
-        with pytest.raises(InternalInconsistencyError, match="lowering descent reached the head"):
-            c.f(1, b)
-    assert c._records[b.entries][4] is _UNSET
+    b = c.f(1, c.f(1, c.highest_weight()))  # b's record is made as an image, with index 1 unfilled
+    plant_scan(monkeypatch, 0, 0, lowering_lands=False)
+    for op in (c.f, c.eps):  # a failed scan memoizes nothing, so asking again trips again
+        for _ in range(2):
+            with pytest.raises(InternalInconsistencyError, match="lowering descent reached the head"):
+                op(1, b)
+    assert c._records[b.entries][1:5] == [_UNSET] * 4
     monkeypatch.undo()  # with the fault gone, f scans again and acts
     assert c.f(1, b) == sl2_string(3)
 

@@ -17,6 +17,12 @@ def test_element_level_check():
         ElementaryElement(1, -1)
 
 
+@pytest.mark.parametrize("index, level", [(1, 1.0), (True, 1), (1.0, 1), (1, True), ("1", 1), (1, "1")])
+def test_an_index_or_level_that_is_not_an_int_is_rejected(index, level):
+    with pytest.raises(ValueError, match="must be ints"):
+        ElementaryElement(index, level)
+
+
 def test_real_statistics():
     c = ElementaryCrystal(REAL, 1)
     b = c.element(3)
