@@ -1,27 +1,31 @@
 """Small exact linear algebra over the rationals.
 
 A `RatMat` is an operator with an explicit shape, so zero-dimensional
-edge cases stay well defined; it has only what the geometry calls:
-images of row vectors, products, the transpose and a zero test.  A
+edge cases stay well defined; it has only what the geometry calls: its
+int form, images of int vectors, the transpose, products and a zero test.
+Its entries are `Fraction`s (only int and Fraction entries are accepted).
+Its int form, built on first use, is D*M for the least D > 0 that makes
+it integral, kept by rows and by columns; a transpose shares it.  A
 subspace is an `EchelonBasis`: its reduced row echelon basis, grown one
 vector at a time, which answers membership and, with rows augmented by
 unit vectors, coordinates.  Because that basis is unique, `rref` and
 `nullspace` are one-shot uses of it, and both take rows and a width.
 
-Vectors enter and leave as `Fraction`s (only int and Fraction entries are
-accepted), but the kernels run on ints: echelon rows, products and the
-characteristic polynomial work on vectors cleared of denominators.
+The kernels take and hand back int vectors, each standing for its
+positive multiples: an image is D*M times the vector, a basis row or
+kernel vector is primitive, and nothing is cleared of denominators twice.
 
 Polynomials, highest degree first, leave as coprime integers (`charpoly`),
 and one Sturm sequence of primitive remainders serves `is_squarefree` and
-`rational_roots`, which take int or Fraction coefficients.
+`rational_roots`, which take int or Fraction coefficients.  `is_squarefree`
+tries a certificate modulo a few fixed primes first.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 
@@ -31,6 +35,8 @@ Vec = tuple[Q, ...]
 
 
 def _rat(x) -> Q:
+    if type(x) is Q:
+        return x
     if not isinstance(x, (int, Q)):
         raise TypeError(f"exact arithmetic takes int or Fraction entries, not {type(x).__name__}")
     return Q(x)
@@ -64,6 +70,8 @@ class RatMat:
     nrows: int
     ncols: int
     entries: tuple[Vec, ...]
+    # Results kept per matrix once computed: its transpose here, its characteristic polynomial in the geometry.
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.entries) != self.nrows or any(len(r) != self.ncols for r in self.entries):
@@ -77,117 +85,139 @@ class RatMat:
         return cls(r, c, ent)
 
     @cached_property
-    def _int_rows(self) -> list[tuple[list[int], int]]:
-        return [_clear(r) for r in self.entries]
+    def _scaled(self) -> tuple[int, list[list[int]]]:
+        rows = [_clear(r) for r in self.entries]
+        d = math.lcm(*[q for _, q in rows])
+        return d, [[x * (d // q) for x in u] for u, q in rows]
 
-    def __matmul__(self, other: "RatMat") -> "RatMat":
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch in product: {self.ncols} vs {other.nrows}")
-        images = self.apply_rows(other.transpose().entries)  # column k of the product is self @ column k
-        return RatMat(other.ncols, self.nrows, tuple(images)).transpose()
+    @property
+    def scale(self) -> int:
+        """The least D > 0 for which D*self is integral."""
+        return self._scaled[0]
+
+    @property
+    def int_rows(self) -> list[list[int]]:
+        """The rows of D*self, D = scale."""
+        return self._scaled[1]
+
+    @cached_property
+    def int_cols(self) -> list[list[int]]:
+        """The columns of D*self, D = scale."""
+        return [[row[j] for row in self.int_rows] for j in range(self.ncols)]
+
+    def image(self, u) -> list[int]:
+        """D*self applied to the int vector u (column convention): a positive multiple of its image."""
+        if len(u) != self.ncols:
+            raise ValueError(f"vector of length {len(u)} for a matrix with {self.ncols} columns")
+        nz = [(j, x) for j, x in enumerate(u) if x]
+        return [sum(row[j] * x for j, x in nz) for row in self.int_rows]
 
     def transpose(self) -> "RatMat":
-        ent = tuple(tuple(self.entries[r][c] for r in range(self.nrows)) for c in range(self.ncols))
-        return RatMat(self.ncols, self.nrows, ent)
+        """The transpose, built once per matrix; its int form is this one's, read by columns."""
+        t = self.memo.get("transpose")
+        if t is None:
+            t = RatMat(self.ncols, self.nrows, tuple(tuple(r[c] for r in self.entries) for c in range(self.ncols)))
+            t.__dict__.update(_scaled=(self.scale, self.int_cols), int_cols=self.int_rows)
+            self.memo["transpose"] = t
+        return t
 
-    def apply_rows(self, rows) -> list[Vec]:
-        """Apply the operator to row vectors: column convention, v -> (M v^T)^T."""
-        out = []
-        for v in rows:
-            if len(v) != self.ncols:
-                raise ValueError(f"vector of length {len(v)} for a matrix with {self.ncols} columns")
-            u, dv = _clear(v)
+    def __matmul__(self, other: "RatMat") -> "RatMat":
+        """The product, entry by entry over a row of self and a column of other, each cleared on its own."""
+        if self.ncols != other.nrows:
+            raise ValueError(f"shape mismatch in product: {self.ncols} vs {other.nrows}")
+        cols = [_clear([row[k] for row in other.entries]) for k in range(other.ncols)]
+        entries = []
+        for u, du in map(_clear, self.entries):
             nz = [(j, x) for j, x in enumerate(u) if x]
-            out.append(tuple(Q(sum(row[j] * x for j, x in nz), dr * dv) for row, dr in self._int_rows))
-        return out
+            entries.append(tuple(Q(sum(x * v[j] for j, x in nz), du * dv) for v, dv in cols))
+        return RatMat(self.nrows, other.ncols, tuple(entries))
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.entries for a in r)
 
 
 class EchelonBasis:
-    """A growing subspace of Q^width, kept as its canonical RREF basis.
+    """A growing subspace of Q^width, kept as its canonical RREF basis, on int vectors.
 
-    `rows` is the reduced row echelon basis of the span, sorted by pivot
-    column, and `pivots` lists the pivot columns.  Every insertion keeps
-    that form, so the rows are the same whatever order spanned them.  Each
-    row is stored as the primitive integer vector with a positive pivot
-    entry; the RREF row is that vector divided by its pivot entry.
+    `rows` holds the reduced row echelon basis of the span, sorted by pivot
+    column, each row as the primitive integer vector with a positive pivot
+    entry (the RREF row is that vector divided by its pivot entry), and
+    `pivots` lists the pivot columns.  Every insertion keeps that form, so
+    the rows are the same whatever order spanned them.  Vectors go in as
+    int sequences; any positive multiple of a vector spans the same line.
     """
 
     def __init__(self, width: int, rows=()):
         self.width = width
         self.pivots: list[int] = []
-        self._ints: list[list[int]] = []
-        self._rows: list[Vec] | None = []
+        self.rows: list[list[int]] = []
         for v in rows:
             self.add(v)
 
-    @property
-    def rows(self) -> list[Vec]:
-        if self._rows is None:
-            self._rows = [tuple(Q(a, r[p]) for a in r) for r, p in zip(self._ints, self.pivots)]
-        return self._rows
+    def reduce(self, v) -> tuple[list[int], int]:
+        """(u, s), s > 0, with u/s equal to v with every pivot column cleared.
 
-    def _eliminate(self, v) -> tuple[list[int], int]:
-        """(u, s), s > 0, with u/s equal to v with every pivot column cleared."""
+        u is zero exactly when v lies in the span.
+        """
         if len(v) != self.width:
             raise ValueError(f"vector of length {len(v)} in a basis of width {self.width}")
-        u, s = _clear(v)
-        for row, p in zip(self._ints, self.pivots):
+        u, s = list(v), 1
+        for row, p in zip(self.rows, self.pivots):
             if u[p]:
                 u, m = _cancel(u, row, p)
                 s *= m
         return u, s
 
-    def reduce(self, v) -> Vec:
-        """v with every pivot column cleared: zero exactly when v lies in the span."""
-        u, s = self._eliminate(v)
-        return tuple(Q(a, s) for a in u)
-
-    def add(self, v) -> bool:
-        """Insert v; True when the span grew."""
-        u, _ = self._eliminate(v)
+    def add(self, v) -> list[int] | None:
+        """Insert v; when the span grew, return the primitive new row as inserted, else None."""
+        u, _ = self.reduce(v)
         p = next((k for k, a in enumerate(u) if a), None)
         if p is None:
-            return False
+            return None
         g = math.gcd(*u) if u[p] > 0 else -math.gcd(*u)
         u = [a // g for a in u]
-        for k, r in enumerate(self._ints):
+        for k, r in enumerate(self.rows):
             if r[p]:
                 r, _ = _cancel(r, u, p)
                 g = math.gcd(*r)
-                self._ints[k] = [a // g for a in r]
+                self.rows[k] = [a // g for a in r]
         k = bisect.bisect(self.pivots, p)
-        self._ints.insert(k, u)
+        self.rows.insert(k, u)
         self.pivots.insert(k, p)
-        self._rows = None
-        return True
+        return u
 
     def __contains__(self, v) -> bool:
-        return not any(self._eliminate(v)[0])
+        return not any(self.reduce(v)[0])
 
     def __len__(self) -> int:
-        return len(self._ints)
+        return len(self.rows)
 
 
-def rref(rows, width: int):
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
+def rref(rows, width: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of int rows: (its rows as primitive int vectors, pivot columns)."""
     basis = EchelonBasis(width, rows)
     return basis.rows, basis.pivots
 
 
-def nullspace(rows, width: int) -> list[Vec]:
-    """Canonical basis of the vectors x in Q^width with a . x = 0 for every row a."""
+def nullspace(rows, width: int) -> list[list[int]]:
+    """Basis of the x in Q^width with a . x = 0 for every int row a, as primitive int vectors.
+
+    Vector k is the positive multiple of the canonical kernel vector of the
+    k-th free column: 1 there, 0 at the other free columns, and minus the
+    RREF entry of that column at each pivot.  So its last nonzero entry
+    sits at its free column.
+    """
     basis, pivots = rref(rows, width)
-    free = [c for c in range(width) if c not in pivots]
-    out: list[Vec] = []
-    for fc in free:
-        v = [Q(0)] * width
-        v[fc] = Q(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -basis[r][fc]
-        out.append(tuple(v))
+    out: list[list[int]] = []
+    for fc in (c for c in range(width) if c not in pivots):
+        hits = [(r[fc], r[pc], pc) for r, pc in zip(basis, pivots) if r[fc]]
+        lead = math.lcm(*[b for _, b, _ in hits])
+        v = [0] * width
+        v[fc] = lead
+        for a, b, pc in hits:
+            v[pc] = -a * (lead // b)
+        g = math.gcd(*v)
+        out.append([a // g for a in v])
     return out
 
 
@@ -205,9 +235,8 @@ def charpoly(m: RatMat) -> list[int]:
     n = m.nrows
     if n != m.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    den = math.lcm(*(d for _, d in m._int_rows))
-    powers = [[[int(i == j) for j in range(n)] for i in range(n)],
-              [[x * (den // d) for x in row] for row, d in m._int_rows]]
+    den = m.scale
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)], m.int_rows]
     while len(powers) <= (n + 1) // 2:
         powers.append(_int_product(powers[-1], powers[1]))
     coeffs, traces = [1], [n]
@@ -259,9 +288,43 @@ def _sturm(p: list[int]) -> list[list[int]]:
     return seq
 
 
+# Each certifies the primitive polynomials whose leading coefficient it does not divide.
+_CERTIFYING_PRIMES = (2**61 - 1, 2**89 - 1, 2**127 - 1)
+
+
+def _squarefree_mod(p: list[int], ell: int) -> bool:
+    """True when p mod ell keeps its degree and is squarefree over F_ell: gcd(p, p') is constant there.
+
+    Then p is squarefree over Q.  Were p = g^2 h over Z with g nonconstant,
+    ell would divide neither lead of g nor of h, so p mod ell would keep the
+    square of a nonconstant g mod ell.
+    """
+    a = [c % ell for c in p]
+    if not a[0]:
+        return False
+    n = len(a) - 1
+    b = [c * (n - k) % ell for k, c in enumerate(a[:-1])]
+    while True:
+        b = b[next((k for k, c in enumerate(b) if c), len(b)):]
+        if not b:
+            return len(a) == 1
+        inv = pow(b[0], -1, ell)
+        while len(a) >= len(b):
+            c = a[0] * inv % ell
+            a = [(x - c * y) % ell for x, y in zip(a[1:], b[1:])] + a[len(b):]
+        a, b = b, a
+
+
 def is_squarefree(p) -> bool:
+    """Whether p has no repeated factor: first by a certificate modulo a few primes, else exactly.
+
+    A certificate only ever proves squarefree, so every false verdict, and
+    every true one the primes miss, comes from the exact Sturm sequence.
+    """
     p = _primitive(p)
-    return len(p) <= 2 or len(_sturm(p)[-1]) == 1
+    if len(p) <= 2 or any(_squarefree_mod(p, ell) for ell in _CERTIFYING_PRIMES):
+        return True
+    return len(_sturm(p)[-1]) == 1
 
 
 def _horner(p: list[int], x: int) -> int:

@@ -9,6 +9,12 @@ loop matrices, and the crystal statistics eps_i and eps*_i: eps_i from the
 loop-stable closure of the incoming arrow images, eps*_i from the same
 closure on the adjoint, checked against the largest loop-stable subspace
 killed by the outgoing arrows.
+
+The span work runs on int vectors: closures, the flag filtration, eps,
+eps* and the flag check pass primitive int vectors between `EchelonBasis`
+and the matrices' int forms.  `Fraction`s stay at the boundary: parsed
+entries, the moment map, witness vectors and the triangularization's
+witness arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from fractions import Fraction as Q
 
 from .cartan import Quiver, _loaded_dict, load_quiver
 from .errors import InputError, InternalInconsistencyError
-from .exactlin import EchelonBasis, RatMat, Vec, charpoly, is_squarefree, nullspace, rational_roots
+from .exactlin import EchelonBasis, RatMat, Vec, _clear, charpoly, is_squarefree, nullspace, rational_roots
 
 DEFAULT_FLAG_DIM_BOUND = 6
 
@@ -107,7 +113,10 @@ def load_rep(source) -> QuiverRep:
 
 
 def star_rep(rep: QuiverRep) -> QuiverRep:
-    """Adjoint representation: (B*)_h is the transpose of B along the involution."""
+    """Adjoint representation: (B*)_h is the transpose of B along the involution.
+
+    Each transpose is built once per matrix and shares that matrix's int form.
+    """
     mats = tuple(rep.mats[rep.quiver.partner(k)].transpose() for k in range(len(rep.mats)))
     return QuiverRep(rep.quiver, rep.dims, mats)
 
@@ -132,8 +141,15 @@ def regular_semisimple_verdicts(rep: QuiverRep) -> dict[int, bool]:
     """Squarefree characteristic polynomial test per weak (Omega-bar) loop."""
     out: dict[int, bool] = {}
     for k in rep.quiver.weak_positions():
-        out[k] = is_squarefree(charpoly(rep.mats[k]))
+        out[k] = is_squarefree(_charpoly(rep.mats[k]))
     return out
+
+
+def _charpoly(m: RatMat) -> list[int]:
+    """charpoly(m), once per matrix: the flag search and the verdicts can ask for the same weak loop."""
+    if "charpoly" not in m.memo:
+        m.memo["charpoly"] = charpoly(m)
+    return m.memo["charpoly"]
 
 
 # -- crystal statistics at a point ------------------------------------------
@@ -146,17 +162,17 @@ def _loop_positions_at(rep: QuiverRep, i: int) -> list[int]:
 def _closure(spaces: list[EchelonBasis], maps) -> list[EchelonBasis]:
     """Grow graded spaces until each map (src, tgt, matrix) sends spaces[src] into spaces[tgt].
 
-    Only vectors that grew a space are pushed through the maps: the others
-    lie in the span of earlier ones, and so do their images.
+    Only the rows a space gained are pushed through the maps: every other
+    image lies in the span of earlier rows, and so do its images.
     """
     todo = [(v, row) for v, space in enumerate(spaces) for row in space.rows]
     while todo:
         v, row = todo.pop()
         for src, tgt, m in maps:
             if src == v:
-                [img] = m.apply_rows([row])
-                if spaces[tgt].add(img):
-                    todo.append((tgt, img))
+                new = spaces[tgt].add(m.image(row))
+                if new is not None:
+                    todo.append((tgt, new))
     return spaces
 
 
@@ -165,12 +181,9 @@ def eps_point(rep: QuiverRep, i: int) -> int:
     if not 1 <= i <= rep.quiver.vertex_count:
         raise InputError(f"vertex {i} out of range")
     d = rep.dims[i - 1]
-    rows: list[Vec] = []
-    for k, arrow in enumerate(rep.quiver.arrows):
-        if arrow.target == i and arrow.source != i:
-            rows.extend(rep.mats[k].transpose().entries)  # column space as rows
+    cols = [c for k, a in enumerate(rep.quiver.arrows) if a.target == i and a.source != i for c in rep.mats[k].int_cols]
     loops = [(0, 0, rep.mats[k]) for k in _loop_positions_at(rep, i)]
-    return d - len(_closure([EchelonBasis(d, rows)], loops)[0])
+    return d - len(_closure([EchelonBasis(d, cols)], loops)[0])
 
 
 def eps_star_point(rep: QuiverRep, i: int) -> int:
@@ -184,12 +197,12 @@ def eps_star_point(rep: QuiverRep, i: int) -> int:
     """
     primary = eps_point(star_rep(rep), i)
     d = rep.dims[i - 1]
-    rows = [r for k, a in enumerate(rep.quiver.arrows) if a.source == i and a.target != i for r in rep.mats[k].entries]
+    rows = [r for k, a in enumerate(rep.quiver.arrows) if a.source == i and a.target != i for r in rep.mats[k].int_rows]
     loops = [rep.mats[k].transpose() for k in _loop_positions_at(rep, i)]
     space = nullspace(rows, d)
     while space:
         annihilator = nullspace(space, d)  # T x lies in K exactly when a T x = 0 for each row a
-        shrunk = nullspace(rows + [r for t in loops for r in t.apply_rows(annihilator)], d)
+        shrunk = nullspace(rows + [t.image(a) for t in loops for a in annihilator], d)
         if len(shrunk) == len(space):
             break
         space = shrunk
@@ -210,29 +223,35 @@ class FlagWitness:
     steps: tuple[tuple[int, Vec], ...]
 
 
-def _unit(k: int, n: int) -> Vec:
-    return tuple(Q(1 if j == k else 0) for j in range(n))
+def _unit(k: int, n: int) -> list[int]:
+    return [int(j == k) for j in range(n)]
+
+
+def _rref_rows(basis: EchelonBasis) -> list[Vec]:
+    """The reduced row echelon basis as Fractions: each int row over its pivot entry."""
+    return [tuple(Q(a, r[p]) for a in r) for r, p in zip(basis.rows, basis.pivots)]
 
 
 def _induced_ops(ops: list[RatMat], comp: list[Vec], lower: list[Vec], width: int) -> list[RatMat]:
     """Matrices of the operators on span(comp + lower)/span(lower) in the comp basis.
 
-    Row k of `coords` is basis vector k followed by the k-th unit vector, so
-    reducing (image, 0) leaves (0, -coordinates) when the image lies in the
-    span and a nonzero head when it does not.
+    Basis vector v_k is cleared to u_k = c_k v_k, and row k of `coords` is
+    u_k followed by the k-th unit vector.  With D = t.scale, reducing
+    (D t u_b, 0) leaves s (0, -x) when D t u_b = sum x_k u_k, and a nonzero
+    head when the image leaves the span; then t v_b = sum x_k c_k v_k / (D c_b).
     """
     q, m = len(comp), len(comp) + len(lower)
-    coords = EchelonBasis(width + m, [tuple(v) + _unit(k, m) for k, v in enumerate(comp + lower)])
+    cleared = [_clear(v) for v in comp + lower]
+    coords = EchelonBasis(width + m, [u + _unit(k, m) for k, (u, _) in enumerate(cleared)])
     induced = []
     for t in ops:
         cols: list[list[Q]] = []
-        for image in t.apply_rows(comp):
-            red = coords.reduce(image + (Q(0),) * m)
+        for u, c in cleared[:q]:
+            red, s = coords.reduce(t.image(u) + [0] * m)
             if any(red[:width]):
                 raise InternalInconsistencyError("operator leaves an invariant space it must preserve")
-            cols.append([-c for c in red[width:width + q]])
-        entries = tuple(tuple(cols[b][a] for b in range(q)) for a in range(q))
-        induced.append(RatMat(q, q, entries))
+            cols.append([Q(-red[width + a] * cleared[a][1], s * t.scale * c) for a in range(q)])
+        induced.append(RatMat(q, q, tuple(tuple(col[a] for col in cols) for a in range(q))))
     return induced
 
 
@@ -256,24 +275,27 @@ def _triangularize(ops: list[RatMat], upper: list[Vec], lower: list[Vec], width:
     invariant line, so if the quotient by the chosen line has no flag,
     neither has the space.
     """
-    acc = EchelonBasis(width, lower)
-    comp = [v for v in upper if acc.add(v)]
+    acc = EchelonBasis(width, [_clear(v)[0] for v in lower])
+    comp = [v for v in upper if acc.add(_clear(v)[0])]
     if not ops:
         return comp
     grown = list(lower)
     while comp:
-        induced = _induced_ops(ops, comp, grown, width)
-        prefixes: list[tuple[list[Vec], list[Vec]]] = [([], [])]  # (stacked rows, joint kernel)
+        # With nothing below and nothing dropped yet, comp is the unit basis, on which each op is itself.
+        induced = ops if len(comp) == width else _induced_ops(ops, comp, grown, width)
+        prefixes: list[tuple[list[list[int]], list[list[int]]]] = [([], [])]  # (stacked rows, joint kernel)
         for t in induced:
-            shifts = [[tuple(x - lam if a == b else x for b, x in enumerate(row)) for a, row in enumerate(t.entries)]
-                      for lam in rational_roots(charpoly(t))]  # built once per root, shared by every prefix
+            # q D (t - p/q): the int rows of t minus a root, built once per root and shared by every prefix
+            shifts = [[[lam.denominator * x - lam.numerator * t.scale * (a == b) for b, x in enumerate(row)]
+                       for a, row in enumerate(t.int_rows)] for lam in rational_roots(_charpoly(t))]
             extended = (rows + shifted for rows, _ in prefixes for shifted in shifts)
             prefixes = [(rows, kernel) for rows in extended if (kernel := nullspace(rows, len(comp)))]
             if not prefixes:
                 return None
         w = prefixes[0][1][0]
-        grown.append(_lift(w, comp, width))
-        del comp[max(a for a, x in enumerate(w) if x)]
+        last = max(a for a, x in enumerate(w) if x)  # its free column, where the canonical vector reads 1
+        grown.append(_lift([Q(x, w[last]) for x in w], comp, width))
+        del comp[last]
     return grown[len(lower):]
 
 
@@ -299,12 +321,12 @@ def flag_exists(rep: QuiverRep) -> FlagWitness | None:
     chain = [full]
     current = full
     while any(current):
-        seed: list[list[Vec]] = [[] for _ in range(nv)]
+        seed: list[list[list[int]]] = [[] for _ in range(nv)]
         for k in strict:
             arrow = rep.quiver.arrows[k]
             src, tgt = arrow.source - 1, arrow.target - 1
             if current[src]:
-                seed[tgt].extend(rep.mats[k].apply_rows(current[src].rows))
+                seed[tgt].extend(rep.mats[k].image(u) for u in current[src].rows)
         nxt = _closure([EchelonBasis(d, rows) for d, rows in zip(rep.dims, seed)], closing)
         if list(map(len, nxt)) == list(map(len, current)):
             return None  # strict part is not nilpotent
@@ -316,7 +338,7 @@ def flag_exists(rep: QuiverRep) -> FlagWitness | None:
         upper, lower = chain[layer], chain[layer + 1]
         for v in range(nv):
             ops = [rep.mats[k] for k in weak if rep.quiver.arrows[k].source - 1 == v]
-            order = _triangularize(ops, upper[v].rows, lower[v].rows, rep.dims[v])
+            order = _triangularize(ops, _rref_rows(upper[v]), _rref_rows(lower[v]), rep.dims[v])
             if order is None:
                 return None
             steps.extend((v + 1, w) for w in order)
@@ -343,10 +365,10 @@ def verify_flag(rep: QuiverRep, witness: FlagWitness) -> list[str]:
         if not 1 <= vertex <= nv or len(vec) != rep.dims[vertex - 1]:
             findings.append(f"step {idx}: bad vertex or vector length")
             return findings
-        images = [(k, a.target - 1, rep.mats[k].apply_rows([vec])[0])
-                  for k, a in enumerate(rep.quiver.arrows) if a.source == vertex]
+        u, _ = _clear(vec)
+        images = [(k, a.target - 1, rep.mats[k].image(u)) for k, a in enumerate(rep.quiver.arrows) if a.source == vertex]
         bad = [k for k, tgt, img in images if k not in weak and img not in acc[tgt]]  # the flag before the step
-        if not acc[vertex - 1].add(vec):
+        if not acc[vertex - 1].add(u):
             findings.append(f"step {idx}: vector does not increase the flag")
             return findings
         bad += [k for k, tgt, img in images if k in weak and img not in acc[tgt]]  # the flag after it

@@ -27,6 +27,17 @@ def _identity(n: int) -> RatMat:
     return RatMat.from_rows([[int(i == j) for j in range(n)] for i in range(n)], nrows=n, ncols=n)
 
 
+def _cleared(v) -> tuple[list[int], int]:
+    """(d*v, d) for the least d > 0 that makes d*v integral."""
+    d = math.lcm(*(Q(a).denominator for a in v))
+    return [int(Q(a) * d) for a in v], d
+
+
+def _fraction_rows(basis: EchelonBasis) -> list[tuple[Q, ...]]:
+    """The RREF rows of a basis as Fractions: each int row over its pivot entry."""
+    return [tuple(Q(a, r[p]) for a in r) for r, p in zip(basis.rows, basis.pivots)]
+
+
 def test_ratmat_shape_checks():
     with pytest.raises(ValueError):
         RatMat(2, 2, ((Q(1),),))
@@ -56,32 +67,37 @@ def test_matmul_zero_dimensions():
 
 def test_apply_rows_convention():
     m = RatMat.from_rows([[1, 1], [0, 3]])
-    # rows are vectors; the image of row v is v under x -> m x read in coordinates
-    [img] = m.apply_rows([(Q(1), Q(0))])
-    assert img == (Q(1), Q(0))
-    [img] = m.apply_rows([(Q(0), Q(1))])
-    assert img == (Q(1), Q(3))
+    # vectors are int lists; the image of v is m v read in coordinates, times m.scale
+    assert m.image([1, 0]) == [1, 0]
+    assert m.image([0, 1]) == [1, 3]
+    halves = RatMat.from_rows([[Q(1, 2), 0], [Q(-1, 3), Q(1, 6)]])
+    assert halves.scale == 6 and halves.int_rows == [[3, 0], [-2, 1]] and halves.int_cols == [[3, -2], [0, 1]]
+    assert halves.image([2, 4]) == [6, 0]  # 6 * (1, 0)
+    assert halves.transpose().image([1, 1]) == [1, 1]  # 6 * (1/6, 1/6)
 
 
 def test_apply_rows_rejects_a_length_mismatch():
     m = RatMat.from_rows([[1, 2], [3, 4]])
     with pytest.raises(ValueError, match="vector of length 3 for a matrix with 2 columns"):
-        m.apply_rows([(1, 1, 99)])
+        m.image([1, 1, 99])
     with pytest.raises(ValueError, match="vector of length 1 for a matrix with 2 columns"):
-        m.apply_rows([(1,)])
-    assert m.apply_rows([(1, 1)]) == [(Q(3), Q(7))]
+        m.image([1])
+    assert m.image([1, 1]) == [3, 7]
 
 
+# Entries are checked where Fractions become ints: building a matrix, clearing a
+# matrix built without from_rows (its int form, products, transpose, charpoly),
+# and the polynomial functions.  EchelonBasis, rref and nullspace take int vectors.
 @pytest.mark.parametrize("build", [
     lambda: RatMat.from_rows([[0.1]]),
-    lambda: nullspace([(0.5, 1)], 2),
-    lambda: _identity(2).apply_rows([(1.0, 0)]),
-    lambda: EchelonBasis(2, [(1.5, 0)]),
-    lambda: EchelonBasis(2).reduce((0, 0.5)),
-    lambda: (0.5, 0) in EchelonBasis(2),
+    lambda: RatMat(1, 2, ((0.5, 1),)).image([1, 0]),
+    lambda: RatMat(2, 1, ((1,), (1.0,))) @ _identity(1),
+    lambda: charpoly(RatMat(1, 1, ((1.5,),))),
+    lambda: _identity(2) @ RatMat(2, 1, ((0,), (0.5,))),
+    lambda: RatMat(2, 1, ((Q(1, 2),), (0.5,))).transpose(),
     lambda: rational_roots([1, -0.5]),
     lambda: is_squarefree([1.0, 0, -1]),
-    lambda: rref([(1, 0.5)], 2),
+    lambda: rational_roots([Q(1, 3), 0, 0.5]),
 ])
 def test_floats_are_rejected(build):
     with pytest.raises(TypeError, match="exact arithmetic takes int or Fraction entries"):
@@ -89,32 +105,37 @@ def test_floats_are_rejected(build):
 
 
 def test_rref_and_rank():
-    rows = [(Q(2), Q(4)), (Q(1), Q(2))]
+    # rows are kept primitive with a positive pivot entry: the RREF row times its pivot entry's denominator
+    rows = [(2, 4), (1, 2)]
     red, pivots = rref(rows, 2)
-    assert red == [(Q(1), Q(2))] and pivots == [0]
+    assert red == [[1, 2]] and pivots == [0]
+    assert rref([(-4, 6)], 2) == ([[2, -3]], [0])
     assert len(EchelonBasis(2, rows)) == 1
     assert len(EchelonBasis(2, [])) == 0
-    assert EchelonBasis(2, rows + [(Q(0), Q(1))]).rows == [(Q(1), Q(0)), (Q(0), Q(1))]
+    assert EchelonBasis(2, rows + [(0, 1)]).rows == [[1, 0], [0, 1]]
 
 
 def test_span_and_solve():
-    basis = [(Q(1), Q(1)), (Q(0), Q(1))]
-    assert (Q(3), Q(5)) in EchelonBasis(2, basis)
-    assert (Q(0), Q(1)) not in EchelonBasis(2, [(Q(1), Q(0))])
+    basis = [(1, 1), (0, 1)]
+    assert (3, 5) in EchelonBasis(2, basis)
+    assert (0, 1) not in EchelonBasis(2, [(1, 0)])
     # Coordinates: augment row k by the k-th unit vector; reducing (v, 0)
-    # leaves (0, -c) when v = sum c_k basis_k, and a nonzero head otherwise.
-    units = [(Q(1), Q(0)), (Q(0), Q(1))]
-    red = EchelonBasis(4, [b + u for b, u in zip(basis, units)]).reduce((Q(3), Q(5), Q(0), Q(0)))
-    assert red[:2] == (0, 0) and [-c for c in red[2:]] == [Q(3), Q(2)]
-    red = EchelonBasis(3, [(Q(1), Q(0), Q(1))]).reduce((Q(0), Q(1), Q(0)))
+    # leaves s (0, -c) when v = sum c_k basis_k, and a nonzero head otherwise.
+    units = [(1, 0), (0, 1)]
+    red, s = EchelonBasis(4, [b + u for b, u in zip(basis, units)]).reduce((3, 5, 0, 0))
+    assert red[:2] == [0, 0] and [Q(-c, s) for c in red[2:]] == [Q(3), Q(2)]
+    red, s = EchelonBasis(2, [(2, 3)]).reduce((1, 0))  # (1, 0) - (1/2) (2, 3) = (0, -3/2)
+    assert s > 0 and [Q(c, s) for c in red] == [Q(0), Q(-3, 2)]
+    red, _ = EchelonBasis(3, [(1, 0, 1)]).reduce((0, 1, 0))
     assert any(red[:2])
 
 
 def test_add_reports_growth():
     basis = EchelonBasis(3)
-    assert basis.add((1, 2, 3)) and not basis.add((2, 4, 6))
-    assert basis.add((0, 0, 1)) and not basis.add((0, 0, 0))
-    assert basis.rows == [(Q(1), Q(2), Q(0)), (Q(0), Q(0), Q(1))] and basis.pivots == [0, 2]
+    assert basis.add((1, 2, 3)) == [1, 2, 3] and basis.add((2, 4, 6)) is None
+    assert basis.add((0, 0, 5)) == [0, 0, 1] and basis.add((0, 0, 0)) is None
+    assert basis.rows == [[1, 2, 0], [0, 0, 1]] and basis.pivots == [0, 2]
+    assert basis.add((0, -3, 0)) == [0, 1, 0]  # reduced against the rows, then primitive with a positive pivot
     with pytest.raises(ValueError):
         basis.add((1, 2))
 
@@ -157,10 +178,10 @@ def test_echelon_basis_against_fraction_free_rank():
     rng = random.Random(20081030)
     for _ in range(300):
         width = rng.randint(0, 5)
-        rows = _random_rows(rng, width)
+        rows = [_cleared(v)[0] for v in _random_rows(rng, width)]
         basis = EchelonBasis(width)
-        grew = sum(basis.add(v) for v in rows)
-        assert _is_rref(basis.rows, basis.pivots, width)
+        grew = sum(basis.add(v) is not None for v in rows)
+        assert _is_rref(_fraction_rows(basis), basis.pivots, width)
         assert all(v in basis for v in rows)
         assert len(basis) == grew == _integer_rank(rows, width)
         shuffled = rows[:]
@@ -173,6 +194,7 @@ def test_nullspace():
     assert len(ker) == 1
     x, y = ker[0]
     assert x + 2 * y == 0 and (x, y) != (0, 0)
+    assert nullspace([[2, 3, 0]], 3) == [[-3, 2, 0], [0, 0, 1]]  # primitive, positive at the free column
     assert nullspace([(1, 0), (0, 1)], 2) == []
     assert len(nullspace([(0, 0, 0)] * 2, 3)) == 3
 
@@ -195,6 +217,42 @@ def test_poly_utilities():
     assert not is_squarefree([Q(1), Q(0), Q(0)])  # x^2
     # integer coefficients stay exact: (x - (10^17 + 1))^2 is no square in floats
     assert not is_squarefree([1, -(2 * 10**17 + 2), (10**17 + 1) ** 2])
+
+
+def _counting_sturm(monkeypatch) -> list:
+    calls, sturm = [], exactlin._sturm
+
+    def counting(p):
+        calls.append(p)
+        return sturm(p)
+
+    monkeypatch.setattr(exactlin, "_sturm", counting)
+    return calls
+
+
+def test_squarefree_certificate_decides_without_the_exact_test(monkeypatch):
+    calls = _counting_sturm(monkeypatch)
+    p = [1, -3, 2]  # (x - 1)(x - 2)
+    assert all(exactlin._squarefree_mod(p, ell) for ell in exactlin._CERTIFYING_PRIMES)
+    assert is_squarefree(p) and is_squarefree([Q(1, 2), Q(-3, 2), 1]) and calls == []
+    # a prime that divides the leading coefficient certifies nothing
+    ell, other = exactlin._CERTIFYING_PRIMES[:2]
+    assert not exactlin._squarefree_mod([ell, 1, 1], ell) and exactlin._squarefree_mod([ell, 1, 1], other)
+
+
+def test_squarefree_certificate_fails_and_the_exact_test_decides(monkeypatch):
+    calls = _counting_sturm(monkeypatch)
+    p = [1, -4, 5, -2]  # (x - 1)^2 (x - 2)
+    assert not any(exactlin._squarefree_mod(p, ell) for ell in exactlin._CERTIFYING_PRIMES)
+    assert not is_squarefree(p) and len(calls) == 1
+
+
+def test_squarefree_certificate_misses_a_square_that_only_the_primes_see(monkeypatch):
+    # x (x - P) with P the product of the primes is x^2 modulo each of them, but squarefree over Q.
+    calls = _counting_sturm(monkeypatch)
+    p = [1, -math.prod(exactlin._CERTIFYING_PRIMES), 0]
+    assert not any(exactlin._squarefree_mod(p, ell) for ell in exactlin._CERTIFYING_PRIMES)
+    assert is_squarefree(p) and len(calls) == 1
 
 
 def test_rational_roots():
@@ -396,15 +454,19 @@ def spanning_rows(draw, width: int | None = None):
 @KERNEL_SETTINGS
 def test_echelon_basis_matches_fraction_reference(case, data):
     width, rows = case
-    basis = EchelonBasis(width, rows)
+    ints = [_cleared(v)[0] for v in rows]
+    basis = EchelonBasis(width, ints)
     ref_rows, ref_pivots = _ref_rref(rows, width)
-    assert basis.rows == ref_rows and basis.pivots == ref_pivots and len(basis) == len(ref_rows)
-    assert all(type(a) is Q for r in basis.rows for a in r)
-    assert rref(rows, width) == (ref_rows, ref_pivots)
+    assert _fraction_rows(basis) == ref_rows and basis.pivots == ref_pivots and len(basis) == len(ref_rows)
+    assert all(type(a) is int for r in basis.rows for a in r)
+    assert all(math.gcd(*r) == 1 and r[p] > 0 for r, p in zip(basis.rows, basis.pivots))
+    assert rref(ints, width) == (basis.rows, ref_pivots)
     for v in rows + data.draw(spanning_rows(width))[1]:
-        red = basis.reduce(v)
-        assert red == _ref_reduce(ref_rows, ref_pivots, v) and all(type(a) is Q for a in red)
-        assert (v in basis) == (not any(red))
+        u, d = _cleared(v)
+        red, s = basis.reduce(u)
+        assert s > 0 and tuple(Q(a, s * d) for a in red) == _ref_reduce(ref_rows, ref_pivots, v)
+        assert all(type(a) is int for a in red)
+        assert (u in basis) == (not any(red))
 
 
 @given(spanning_rows())
@@ -418,7 +480,12 @@ def test_nullspace_matches_fraction_reference(case):
         for r, pc in zip(ref_rows, ref_pivots):
             v[pc] = -r[fc]
         expected.append(tuple(v))
-    assert nullspace(rows, width) == expected
+    got = nullspace([_cleared(v)[0] for v in rows], width)
+    assert all(type(a) is int for v in got for a in v) and all(math.gcd(*v) == 1 for v in got)
+    # each vector is a positive multiple of the canonical one, whose last nonzero entry is its free 1
+    lasts = [max(k for k, a in enumerate(v) if a) for v in got]
+    assert all(v[k] > 0 for v, k in zip(got, lasts))
+    assert [tuple(Q(a, v[k]) for a in v) for v, k in zip(got, lasts)] == expected
     assert all(not any(_ref_apply(rows, v)) for v in expected)
 
 
@@ -435,9 +502,19 @@ def matrix_pairs(draw):
 @KERNEL_SETTINGS
 def test_products_match_fraction_reference(case):
     m, n, vectors = case
-    images = m.apply_rows(vectors)
-    assert images == [_ref_apply(m.entries, v) for v in vectors]
-    assert all(type(a) is Q for img in images for a in img)
+    # the int form: D*m with D the least common denominator, applied to cleared vectors
+    assert m.scale == math.lcm(*(a.denominator for row in m.entries for a in row))
+    assert m.int_rows == [[int(a * m.scale) for a in row] for row in m.entries]
+    assert m.int_cols == [[row[j] for row in m.int_rows] for j in range(m.ncols)]
+    for v in vectors:
+        u, d = _cleared(v)
+        image = m.image(u)
+        assert all(type(a) is int for a in image)
+        assert tuple(Q(a, m.scale * d) for a in image) == _ref_apply(m.entries, v)
+    t = m.transpose()
+    assert (t.nrows, t.ncols) == (m.ncols, m.nrows)
+    assert t.entries == tuple(tuple(row[j] for row in m.entries) for j in range(m.ncols))
+    assert (t.scale, t.int_rows, t.int_cols) == (m.scale, m.int_cols, m.int_rows)
     prod = m @ n
     cols = [tuple(row[j] for row in n.entries) for j in range(n.ncols)]
     assert (prod.nrows, prod.ncols) == (m.nrows, n.ncols)

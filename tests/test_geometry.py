@@ -1,16 +1,19 @@
 """Pointwise invariants on quiver representations over exact rationals."""
 
+import bisect
 import random
 import re
 from fractions import Fraction as Q
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkm_crystals import geometry
 from gkm_crystals.cartan import Quiver
 from gkm_crystals.errors import InputError, InternalInconsistencyError
-from gkm_crystals.exactlin import EchelonBasis, RatMat, charpoly, nullspace, rational_roots
+from gkm_crystals.exactlin import RatMat, charpoly, rational_roots
 from gkm_crystals.geometry import (
     FlagWitness,
     QuiverRep,
@@ -51,6 +54,141 @@ def _scalar(c, nrows: int, ncols: int | None = None) -> RatMat:
     """c on the diagonal and zero elsewhere: the zero matrix of any shape when c = 0."""
     ncols = nrows if ncols is None else ncols
     return RatMat.from_rows([[c * (i == j) for j in range(ncols)] for i in range(nrows)], nrows=nrows, ncols=ncols)
+
+
+# -- Fraction references ------------------------------------------------------
+#
+# The geometry's span work as it ran on Fractions before it moved to int
+# vectors: a Gauss-Jordan span, images, kernels, closures, induced operators
+# and lifts, written here so that the references share no code with the
+# library's int kernels.
+
+
+class _FracSpan:
+    """A subspace of Q^width, kept as its Fraction RREF rows sorted by pivot column."""
+
+    def __init__(self, width: int, rows=()):
+        self.width, self.rows, self.pivots = width, [], []
+        for v in rows:
+            self.add(v)
+
+    def reduce(self, v) -> tuple[Q, ...]:
+        """v with every pivot column cleared: zero exactly when v lies in the span."""
+        assert len(v) == self.width
+        v = [Q(a) for a in v]
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+        return tuple(v)
+
+    def add(self, v) -> bool:
+        v = self.reduce(v)
+        p = next((k for k, a in enumerate(v) if a), None)
+        if p is None:
+            return False
+        v = tuple(a / v[p] for a in v)
+        self.rows = [tuple(a - r[p] * b for a, b in zip(r, v)) for r in self.rows]
+        k = bisect.bisect(self.pivots, p)
+        self.rows.insert(k, v)
+        self.pivots.insert(k, p)
+        return True
+
+    def __contains__(self, v) -> bool:
+        return not any(self.reduce(v))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def _ref_apply(m: RatMat, v) -> tuple[Q, ...]:
+    """m v over Fractions (column convention)."""
+    return tuple(sum((a * x for a, x in zip(row, v)), Q(0)) for row in m.entries)
+
+
+def _ref_transpose(m: RatMat) -> RatMat:
+    return RatMat(m.ncols, m.nrows, tuple(tuple(row[c] for row in m.entries) for c in range(m.ncols)))
+
+
+def _ref_nullspace(rows, width: int) -> list[tuple[Q, ...]]:
+    """Canonical kernel basis: 1 at a free column, 0 at the others, minus the RREF entries at the pivots."""
+    span = _FracSpan(width, rows)
+    out = []
+    for fc in (c for c in range(width) if c not in span.pivots):
+        v = [Q(int(c == fc)) for c in range(width)]
+        for r, pc in zip(span.rows, span.pivots):
+            v[pc] = -r[fc]
+        out.append(tuple(v))
+    return out
+
+
+def _ref_closure(spaces: list[_FracSpan], maps) -> list[_FracSpan]:
+    """Grow graded spaces until each map (src, tgt, matrix) sends spaces[src] into spaces[tgt]."""
+    todo = [(v, row) for v, space in enumerate(spaces) for row in space.rows]
+    while todo:
+        v, row = todo.pop()
+        for src, tgt, m in maps:
+            if src == v:
+                img = _ref_apply(m, row)
+                if spaces[tgt].add(img):
+                    todo.append((tgt, img))
+    return spaces
+
+
+def _ref_unit(k: int, n: int) -> tuple[Q, ...]:
+    return tuple(Q(int(j == k)) for j in range(n))
+
+
+def _ref_induced_ops(ops: list[RatMat], comp, lower, width: int) -> list[RatMat]:
+    """Matrices of the operators on span(comp + lower)/span(lower) in the comp basis, over Fractions."""
+    q, m = len(comp), len(comp) + len(lower)
+    coords = _FracSpan(width + m, [tuple(v) + _ref_unit(k, m) for k, v in enumerate(comp + lower)])
+    induced = []
+    for t in ops:
+        cols = []
+        for v in comp:
+            red = coords.reduce(_ref_apply(t, v) + (Q(0),) * m)
+            assert not any(red[:width]), "operator leaves an invariant space it must preserve"
+            cols.append([-c for c in red[width:width + q]])
+        induced.append(RatMat(q, q, tuple(tuple(cols[b][a] for b in range(q)) for a in range(q))))
+    return induced
+
+
+def _ref_lift(w, comp, width: int) -> tuple[Q, ...]:
+    """The vector with coordinates w in the basis comp."""
+    return tuple(sum((w[a] * comp[a][j] for a in range(len(comp))), Q(0)) for j in range(width))
+
+
+def _ref_star(rep: QuiverRep) -> QuiverRep:
+    return QuiverRep(rep.quiver, rep.dims, tuple(_ref_transpose(rep.mats[rep.quiver.partner(k)])
+                                                 for k in range(len(rep.mats))))
+
+
+def _ref_loops(rep: QuiverRep, i: int) -> list[int]:
+    return [k for k, a in enumerate(rep.quiver.arrows) if a.source == i == a.target]
+
+
+def _ref_eps_point(rep: QuiverRep, i: int) -> int:
+    """Codimension of the loop-stable closure of the non-loop incoming column spaces."""
+    d = rep.dims[i - 1]
+    cols = [c for k, a in enumerate(rep.quiver.arrows) if a.target == i != a.source
+            for c in _ref_transpose(rep.mats[k]).entries]
+    return d - len(_ref_closure([_FracSpan(d, cols)], [(0, 0, rep.mats[k]) for k in _ref_loops(rep, i)])[0])
+
+
+def _ref_eps_star_point(rep: QuiverRep, i: int) -> tuple[int, int]:
+    """(eps_i of the adjoint, dim of the largest loop-stable subspace the non-loop outgoing arrows kill)."""
+    d = rep.dims[i - 1]
+    rows = [r for k, a in enumerate(rep.quiver.arrows) if a.source == i != a.target for r in rep.mats[k].entries]
+    loops = [_ref_transpose(rep.mats[k]) for k in _ref_loops(rep, i)]
+    space = _ref_nullspace(rows, d)
+    while space:
+        annihilator = _ref_nullspace(space, d)
+        shrunk = _ref_nullspace(rows + [_ref_apply(t, a) for t in loops for a in annihilator], d)
+        if len(shrunk) == len(space):
+            break
+        space = shrunk
+    return _ref_eps_point(_ref_star(rep), i), len(space)
 
 
 def test_load_rep_and_validation():
@@ -372,14 +510,14 @@ def _loop_algebra_kernel_dim(rep: QuiverRep, i: int) -> int:
         return tuple(x for row in m.entries for x in row)
 
     algebra = [_scalar(1, d)]
-    span = EchelonBasis(d * d, [flat(algebra[0])])
+    span = _FracSpan(d * d, [flat(algebra[0])])
     frontier = list(algebra)
     while frontier:
         frontier = [p for p in (t @ a for t in gens for a in frontier) if span.add(flat(p))]
         algebra.extend(frontier)
     stacked = [row for k, a in enumerate(arrows) if a.source == i != a.target
                for b in algebra for row in (rep.mats[k] @ b).entries]
-    return len(nullspace(stacked, d))
+    return len(_ref_nullspace(stacked, d))
 
 
 _KERNEL_QUIVERS = [
@@ -457,13 +595,13 @@ def _recursive_triangularize(ops: list[RatMat], q: int):
         stacked = []
         for t, lam in zip(ops, combo):
             stacked.extend(tuple(x - lam * (a == b) for b, x in enumerate(row)) for a, row in enumerate(t.entries))
-        kernel = nullspace(stacked, q)
+        kernel = _ref_nullspace(stacked, q)
         if kernel:
             cand = kernel[0]
-            acc = EchelonBasis(q, [cand])
+            acc = _FracSpan(q, [cand])
             comp = [u for u in _units(q) if acc.add(u)]
-            sub = _recursive_triangularize(geometry._induced_ops(ops, comp, [cand], q), q - 1)
-            return None if sub is None else [cand] + [geometry._lift(w, comp, q) for w in sub]
+            sub = _recursive_triangularize(_ref_induced_ops(ops, comp, [cand], q), q - 1)
+            return None if sub is None else [cand] + [_ref_lift(w, comp, q) for w in sub]
     return None
 
 
@@ -472,14 +610,14 @@ def _reference_steps(rep: QuiverRep):
     nv, arrows = rep.quiver.vertex_count, rep.quiver.arrows
     weak = rep.quiver.weak_positions()
     maps = [(a.source - 1, a.target - 1, rep.mats[k]) for k, a in enumerate(arrows)]
-    current = [EchelonBasis(d, _units(d)) for d in rep.dims]
+    current = [_FracSpan(d, _units(d)) for d in rep.dims]
     chain = [current]
     while any(current):
         seed = [[] for _ in range(nv)]
         for k, a in enumerate(arrows):
             if k not in weak and current[a.source - 1]:
-                seed[a.target - 1].extend(rep.mats[k].apply_rows(current[a.source - 1].rows))
-        nxt = geometry._closure([EchelonBasis(d, rows) for d, rows in zip(rep.dims, seed)], maps)
+                seed[a.target - 1].extend(_ref_apply(rep.mats[k], v) for v in current[a.source - 1].rows)
+        nxt = _ref_closure([_FracSpan(d, rows) for d, rows in zip(rep.dims, seed)], maps)
         if list(map(len, nxt)) == list(map(len, current)):
             return None
         chain.append(nxt)
@@ -487,16 +625,16 @@ def _reference_steps(rep: QuiverRep):
     steps = []
     for upper, lower in zip(chain[-2::-1], chain[::-1]):
         for v in range(nv):
-            acc = EchelonBasis(rep.dims[v], lower[v].rows)
+            acc = _FracSpan(rep.dims[v], lower[v].rows)
             comp = [u for u in upper[v].rows if acc.add(u)]
             if not comp:
                 continue
             ops = [rep.mats[k] for k in weak if arrows[k].source - 1 == v]
-            induced = geometry._induced_ops(ops, comp, lower[v].rows, rep.dims[v])
+            induced = _ref_induced_ops(ops, comp, lower[v].rows, rep.dims[v])
             order = _recursive_triangularize(induced, len(comp))
             if order is None:
                 return None
-            steps.extend((v + 1, geometry._lift(w, comp, rep.dims[v])) for w in order)
+            steps.extend((v + 1, _ref_lift(w, comp, rep.dims[v])) for w in order)
     return tuple(steps)
 
 
@@ -587,7 +725,7 @@ def _verify_flag_every_piece(rep: QuiverRep, witness: FlagWitness) -> list[str]:
     findings: list[str] = []
     nv = rep.quiver.vertex_count
     weak = set(rep.quiver.weak_positions())
-    acc = [EchelonBasis(d) for d in rep.dims]
+    acc = [_FracSpan(d) for d in rep.dims]
     if len(witness.steps) != rep.total_dim():
         findings.append(f"{len(witness.steps)} steps for total dimension {rep.total_dim()}")
     for idx, (vertex, vec) in enumerate(witness.steps):
@@ -595,13 +733,13 @@ def _verify_flag_every_piece(rep: QuiverRep, witness: FlagWitness) -> list[str]:
             findings.append(f"step {idx}: bad vertex or vector length")
             return findings
         prev = list(acc)  # the flag before this step; the grown piece gets a new basis
-        acc[vertex - 1] = EchelonBasis(rep.dims[vertex - 1], prev[vertex - 1].rows)
+        acc[vertex - 1] = _FracSpan(rep.dims[vertex - 1], prev[vertex - 1].rows)
         if not acc[vertex - 1].add(vec):
             findings.append(f"step {idx}: vector does not increase the flag")
             return findings
         for k, arrow in enumerate(rep.quiver.arrows):
             src, tgt = arrow.source - 1, arrow.target - 1
-            img = rep.mats[k].apply_rows(acc[src].rows)
+            img = [_ref_apply(rep.mats[k], v) for v in acc[src].rows]
             target_space = acc[tgt] if k in weak else prev[tgt]
             kind = "weak" if k in weak else "strict"
             for w in img:
@@ -713,3 +851,112 @@ def test_verify_flag_finding_texts():
     ]
     for r, steps, expected in cases:
         assert verify_flag(r, FlagWitness(steps)) == expected == _verify_flag_every_piece(r, FlagWitness(steps))
+
+
+# -- the int kernels against the Fraction references ---------------------------
+#
+# eps, eps*, the moment map's zero test, flag witnesses and verify_flag's
+# findings, on p/q entries over large distinct denominators, with
+# zero-dimensional vertices and with a vertex that no arrow touches.
+
+_DIFF_QUIVERS = [
+    (3, [(1, 1), (1, 2)]),
+    (3, [(1, 1), (1, 1), (2, 1), (2, 2)]),
+    (4, [(1, 2), (2, 3), (3, 3), (3, 1)]),
+]
+
+
+def _pq_grid(rng: random.Random, nrows: int, ncols: int, denominators: set) -> list[list[Q]]:
+    """Zero, rank one or sparse dense, each nonzero factor over a denominator not drawn before."""
+    def entry() -> Q:
+        q = rng.randrange(10**8, 10**12)
+        while q in denominators:
+            q = rng.randrange(10**8, 10**12)
+        denominators.add(q)
+        return Q(rng.randrange(-10**12, 10**12), q)
+
+    kind = rng.choice(("zero", "rank one", "rank one", "dense"))
+    if kind == "zero":
+        return [[Q(0)] * ncols for _ in range(nrows)]
+    if kind == "rank one":
+        col, row = [entry() for _ in range(nrows)], [entry() for _ in range(ncols)]
+        return [[a * b for b in row] for a in col]
+    return [[entry() if rng.random() < 0.6 else Q(0) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _pq_rep(rng: random.Random, n: int) -> QuiverRep:
+    vertex_count, omega = _DIFF_QUIVERS[n % len(_DIFF_QUIVERS)]
+    quiver = Quiver.from_omega_arrows(vertex_count, omega)
+    dims = [0] * vertex_count
+    while sum(dims) == 0 or sum(dims) > 6:
+        dims = [rng.randint(0, 3) for _ in range(vertex_count)]
+    denominators: set = set()
+    mats = tuple(RatMat.from_rows(_pq_grid(rng, dims[a.target - 1], dims[a.source - 1], denominators),
+                                  nrows=dims[a.target - 1], ncols=dims[a.source - 1]) for a in quiver.arrows)
+    return QuiverRep(quiver, tuple(dims), mats)
+
+
+def _differential_findings(rep: QuiverRep, rng: random.Random) -> dict:
+    """Compare every pointwise invariant with its Fraction reference; return what was seen."""
+    seen = {"middle eps": 0, "middle eps*": 0, "mu zero": 0, "mu nonzero": 0}
+    for i in range(1, rep.quiver.vertex_count + 1):
+        eps, (star, kernel) = _ref_eps_point(rep, i), _ref_eps_star_point(rep, i)
+        assert star == kernel
+        assert (eps_point(rep, i), eps_star_point(rep, i)) == (eps, star), (i, rep)
+        zero = all(x == 0 for row in _reference_moment_map(rep, i) for x in row)
+        assert moment_map(rep, i).is_zero() == zero, (i, rep)
+        d = rep.dims[i - 1]
+        seen["middle eps"] += 0 < eps < d
+        seen["middle eps*"] += 0 < star < d
+        seen["mu zero" if zero else "mu nonzero"] += d > 0
+    witness, ref = flag_exists(rep), _reference_steps(rep)
+    assert (None if witness is None else witness.steps) == ref, rep
+    seen["flag"] = witness is not None
+    if witness is not None:
+        steps = witness.steps
+    else:
+        steps = [(v, tuple(Q(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(d)))
+                 for v, d in enumerate(rep.dims, start=1) for _ in range(d)]
+        steps = tuple(rng.sample(steps, len(steps)))
+    for s in [steps] + (_corruptions(rng, rep, steps) if steps else []):
+        findings = verify_flag(rep, FlagWitness(s))
+        assert findings == _verify_flag_every_piece(rep, FlagWitness(s)), (s, rep)
+    return seen
+
+
+def test_int_geometry_matches_the_fraction_references():
+    rng = random.Random(20261021)
+    totals = {"middle eps": 0, "middle eps*": 0, "mu zero": 0, "mu nonzero": 0, "flag": 0}
+    empty = untouched = 0
+    for n in range(90):
+        rep = _pq_rep(rng, n)
+        for key, count in _differential_findings(rep, rng).items():
+            totals[key] += count
+        empty += 0 in rep.dims
+        touched = {v for a in rep.quiver.arrows for v in (a.source, a.target)}
+        untouched += any(d and v not in touched for v, d in enumerate(rep.dims, start=1))
+    assert empty >= 30 and untouched >= 30
+    assert min(totals.values()) >= 10, totals
+
+
+_pq_entries = st.one_of(st.just(Q(0)), st.builds(Q, st.integers(-10**12, 10**12), st.integers(10**8, 10**12)))
+
+
+@st.composite
+def pq_reps(draw):
+    vertex_count, omega = draw(st.sampled_from(_DIFF_QUIVERS))
+    quiver = Quiver.from_omega_arrows(vertex_count, omega)
+    dims = draw(st.lists(st.integers(0, 3), min_size=vertex_count, max_size=vertex_count).filter(lambda d: sum(d) <= 6))
+    mats = []
+    for a in quiver.arrows:
+        r, c = dims[a.target - 1], dims[a.source - 1]
+        grid = draw(st.one_of(st.just([[Q(0)] * c for _ in range(r)]),
+                              st.lists(st.lists(_pq_entries, min_size=c, max_size=c), min_size=r, max_size=r)))
+        mats.append(RatMat.from_rows(grid, nrows=r, ncols=c))
+    return QuiverRep(quiver, tuple(dims), tuple(mats))
+
+
+@given(pq_reps(), st.randoms(use_true_random=False))
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+def test_int_geometry_matches_the_fraction_references_on_drawn_reps(rep, rng):
+    _differential_findings(rep, rng)
