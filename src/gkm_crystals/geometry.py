@@ -10,11 +10,12 @@ loop-stable closure of the incoming arrow images, eps*_i from the same
 closure on the adjoint, checked against the largest loop-stable subspace
 killed by the outgoing arrows.
 
-The span work runs on int vectors: closures, the flag filtration, eps,
-eps* and the flag check pass primitive int vectors between `EchelonBasis`
-and the matrices' int forms.  `Fraction`s stay at the boundary: parsed
-entries, the moment map, witness vectors and the triangularization's
-witness arithmetic.
+The span work runs on int vectors: closures, the flag filtration, the
+flag search, eps, eps* and the flag check pass primitive int vectors
+between `EchelonBasis` and the matrices' int forms.  `Fraction`s stay at
+the boundary: parsed entries, the moment map, the entries of an induced
+operator, and witness vectors, each made once from its int lift and
+cleared once by `verify_flag`.
 """
 
 from __future__ import annotations
@@ -227,59 +228,55 @@ def _unit(k: int, n: int) -> list[int]:
     return [int(j == k) for j in range(n)]
 
 
-def _rref_rows(basis: EchelonBasis) -> list[Vec]:
-    """The reduced row echelon basis as Fractions: each int row over its pivot entry."""
-    return [tuple(Q(a, r[p]) for a in r) for r, p in zip(basis.rows, basis.pivots)]
-
-
-def _induced_ops(ops: list[RatMat], comp: list[Vec], lower: list[Vec], width: int) -> list[RatMat]:
+def _induced_ops(ops: list[RatMat], comp: list[list[int]], lower: list[list[int]], width: int) -> list[RatMat]:
     """Matrices of the operators on span(comp + lower)/span(lower) in the comp basis.
 
-    Basis vector v_k is cleared to u_k = c_k v_k, and row k of `coords` is
-    u_k followed by the k-th unit vector.  With D = t.scale, reducing
-    (D t u_b, 0) leaves s (0, -x) when D t u_b = sum x_k u_k, and a nonzero
-    head when the image leaves the span; then t v_b = sum x_k c_k v_k / (D c_b).
+    All vectors are int vectors, and row k of `coords` is u_k followed by
+    the k-th unit vector.  With D = t.scale, reducing (D t u_b, 0) leaves
+    s (0, -x) when D t u_b = sum x_k u_k, and a nonzero head when the image
+    leaves the span; then t u_b = sum x_k u_k / D.
     """
     q, m = len(comp), len(comp) + len(lower)
-    cleared = [_clear(v) for v in comp + lower]
-    coords = EchelonBasis(width + m, [u + _unit(k, m) for k, (u, _) in enumerate(cleared)])
+    coords = EchelonBasis(width + m, [u + _unit(k, m) for k, u in enumerate(comp + lower)])
     induced = []
     for t in ops:
         cols: list[list[Q]] = []
-        for u, c in cleared[:q]:
+        for u in comp:
             red, s = coords.reduce(t.image(u) + [0] * m)
             if any(red[:width]):
                 raise InternalInconsistencyError("operator leaves an invariant space it must preserve")
-            cols.append([Q(-red[width + a] * cleared[a][1], s * t.scale * c) for a in range(q)])
+            cols.append([Q(-red[width + a], s * t.scale) for a in range(q)])
         induced.append(RatMat(q, q, tuple(tuple(col[a] for col in cols) for a in range(q))))
     return induced
 
 
-def _lift(w: Vec, comp: list[Vec], width: int) -> Vec:
-    """The vector with coordinates w in the basis comp."""
-    return tuple(sum((w[a] * comp[a][j] for a in range(len(comp))), Q(0)) for j in range(width))
+def _witness(u: list[int], row: list[int]) -> Vec:
+    """A flag step's vector: the multiple of the int vector u that reads 1 at the pivot of `row`, as Fractions."""
+    p = next(k for k, x in enumerate(row) if x)
+    return tuple(Q(x, u[p]) for x in u)
 
 
-def _triangularize(ops: list[RatMat], upper: list[Vec], lower: list[Vec], width: int) -> list[Vec] | None:
-    """Rows extending `lower` to a basis of span(upper), every prefix span invariant under all ops.
+def _triangularize(ops: list[RatMat], upper: list[list[int]], lower: list[list[int]], width: int) -> list[Vec] | None:
+    """Vectors extending `lower` to a basis of span(upper), every prefix span invariant under all ops.
 
-    Each step takes the first rational joint eigenvector of the ops on
-    span(upper)/span(lower) (ops in order, roots ascending), adds it to the
-    flag, and drops from the complement the vector at its last nonzero
-    coordinate.  Roots are chosen one op at a time, and a prefix of choices
-    whose joint kernel is zero is dropped: the surviving kernels form a
-    direct sum, so at most dim(quotient) prefixes survive each op, and the
-    first survivor is the first combination in product order.  Returns None
-    when no rational ordering exists.  One candidate suffices: an invariant
-    complete flag of a space maps onto one of its quotient by every
-    invariant line, so if the quotient by the chosen line has no flag,
-    neither has the space.
+    `upper` and `lower` are int RREF rows; the complement, the grown lower
+    rows and the lifts stay int vectors.  Each step takes the first rational
+    joint eigenvector of the ops on span(upper)/span(lower) (ops in order,
+    roots ascending), adds its lift to the flag, and drops from the
+    complement the row at its last nonzero coordinate.  Roots are chosen one
+    op at a time, and a prefix of choices whose joint kernel is zero is
+    dropped: the surviving kernels form a direct sum, so at most
+    dim(quotient) prefixes survive each op, and the first survivor is the
+    first combination in product order.  Returns None when no rational
+    ordering exists.  One candidate suffices: an invariant complete flag of
+    a space maps onto one of its quotient by every invariant line, so if
+    the quotient by the chosen line has no flag, neither has the space.
     """
-    acc = EchelonBasis(width, [_clear(v)[0] for v in lower])
-    comp = [v for v in upper if acc.add(_clear(v)[0])]
+    acc = EchelonBasis(width, lower)
+    comp = [v for v in upper if acc.add(v)]
     if not ops:
-        return comp
-    grown = list(lower)
+        return [_witness(v, v) for v in comp]
+    grown, order = list(lower), []
     while comp:
         # With nothing below and nothing dropped yet, comp is the unit basis, on which each op is itself.
         induced = ops if len(comp) == width else _induced_ops(ops, comp, grown, width)
@@ -294,9 +291,9 @@ def _triangularize(ops: list[RatMat], upper: list[Vec], lower: list[Vec], width:
                 return None
         w = prefixes[0][1][0]
         last = max(a for a, x in enumerate(w) if x)  # its free column, where the canonical vector reads 1
-        grown.append(_lift([Q(x, w[last]) for x in w], comp, width))
-        del comp[last]
-    return grown[len(lower):]
+        grown.append([sum(x * v[j] for x, v in zip(w, comp)) for j in range(width)])
+        order.append(_witness(grown[-1], comp.pop(last)))  # no other complement row is nonzero at its pivot
+    return order
 
 
 def flag_exists(rep: QuiverRep) -> FlagWitness | None:
@@ -338,7 +335,7 @@ def flag_exists(rep: QuiverRep) -> FlagWitness | None:
         upper, lower = chain[layer], chain[layer + 1]
         for v in range(nv):
             ops = [rep.mats[k] for k in weak if rep.quiver.arrows[k].source - 1 == v]
-            order = _triangularize(ops, _rref_rows(upper[v]), _rref_rows(lower[v]), rep.dims[v])
+            order = _triangularize(ops, upper[v].rows, lower[v].rows, rep.dims[v])
             if order is None:
                 return None
             steps.extend((v + 1, w) for w in order)

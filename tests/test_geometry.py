@@ -390,7 +390,7 @@ def test_induced_ops_tripwire_fires_when_an_operator_leaves_the_space():
     # e_1 -> e_2 maps the complement vector e_1 out of span(e_1) + span(lower = {}).
     shift = RatMat.from_rows([[0, 0], [1, 0]])
     with pytest.raises(InternalInconsistencyError, match="^operator leaves an invariant space it must preserve$"):
-        geometry._induced_ops([shift], _units(2)[:1], [], 2)
+        geometry._induced_ops([shift], [[1, 0]], [], 2)
 
 
 def test_flag_exists_tripwire_fires_when_its_flag_fails_verification(monkeypatch):
@@ -412,7 +412,7 @@ def test_flag_search_stops_after_one_candidate(monkeypatch):
 
     monkeypatch.setattr(geometry, "nullspace", counting)
     op = RatMat.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-    assert geometry._triangularize([op], _units(4), [], 4) is None
+    assert geometry._triangularize([op], [[int(i == j) for j in range(4)] for i in range(4)], [], 4) is None
     assert len(calls) == 2
 
 
@@ -709,6 +709,37 @@ def test_witnesses_match_the_recursive_reference():
             assert all(type(x) is Q for x in vec)
             assert vec == ref_vec, (k, rep)
     assert found >= 150 and none >= 50
+
+
+def _pq_basis(rng: random.Random, rep: QuiverRep) -> QuiverRep:
+    """The same representation in a basis rescaled by p/q factors: B_h becomes S_t B_h S_s^-1, S diagonal."""
+    scales = [[Q(rng.randint(1, 10**9), rng.randint(1, 10**9)) for _ in range(d)] for d in rep.dims]
+    mats = tuple(RatMat.from_rows([[x * scales[a.target - 1][r] / scales[a.source - 1][c] for c, x in enumerate(row)]
+                                   for r, row in enumerate(m.entries)], nrows=m.nrows, ncols=m.ncols)
+                 for a, m in zip(rep.quiver.arrows, rep.mats))
+    return QuiverRep(rep.quiver, rep.dims, mats)
+
+
+def test_flag_search_clears_each_witness_vector_once(monkeypatch):
+    # The search runs on int vectors; the one clearing left is verify_flag's,
+    # once per witness step.  The reps have flags, weak loops and p/q entries,
+    # and their strict arrows leave a nonempty layer below the weak loops, so
+    # the search writes induced operators on quotients.
+    rng = random.Random(20261022)
+    clears, lowers = [], []
+    real_clear, real_induced_ops = geometry._clear, geometry._induced_ops
+    monkeypatch.setattr(geometry, "_clear", lambda v: clears.append(v) or real_clear(v))
+    monkeypatch.setattr(geometry, "_induced_ops",
+                        lambda ops, comp, lower, width: lowers.append(len(lower)) or real_induced_ops(ops, comp, lower, width))
+    pq = 0
+    for k in range(40):
+        rep = _pq_basis(rng, _scrambled_rep(rng, sorted(_SHAPES)[k % len(_SHAPES)], "flag"))
+        pq += any(x.denominator > 1 for m in rep.mats for row in m.entries for x in row)
+        clears.clear()
+        witness = flag_exists(rep)
+        assert witness is not None
+        assert len(clears) == len(witness.steps) == rep.total_dim(), (k, rep)
+    assert pq >= 30 and sum(n > 0 for n in lowers) >= 20, (pq, lowers)
 
 
 # -- the flag check against the every-piece reference -------------------------
