@@ -141,14 +141,13 @@ class BInfinityCrystal(Crystal):
         self._images: dict[IotaSequence, dict[tuple[int, ...], BInfElement]] = {}  # per target iota
         self._records: dict[tuple[int, ...], list] = {}  # one record per string, see the class docstring
         self._unset_slots = [_UNSET] * (4 * n)
-        # Per index i: real flag, a_ii, a(i, iota_p) and [iota_p == i] per period slot p, and per
-        # string length mod the period the zeros that pad a string up to its first i-slot beyond it.
+        # Per index i: real flag, a_ii, a(i, iota_p) and [iota_p == i] per period slot p, and the period
+        # twice over, one tuple for every index, where `_scan` finds the first i-slot beyond a string.
         rows, period = datum.matrix, self.iota.period
-        plen = len(period)
+        twice = period * 2
         self._tables = [None] + [
             (datum.is_real(i), rows[i - 1][i - 1], tuple(rows[i - 1][j - 1] for j in period),
-             tuple(j == i for j in period),
-             tuple((0,) * (1 + next(d for d in range(plen) if period[(r + d) % plen] == i)) for r in range(plen)))
+             tuple(j == i for j in period), twice)
             for i in range(1, n + 1)]
 
     # -- elements ---------------------------------------------------------
@@ -191,9 +190,9 @@ class BInfinityCrystal(Crystal):
         both None when raising routes head-side at every factor; down is the
         outermost factor at which lowering does not, None if there is none.
         """
-        real, aii, cols, slots, pads = self._tables[i]
-        plen = len(slots)
-        entries += pads[len(entries) % plen]
+        real, aii, cols, slots, twice = self._tables[i]
+        plen, r = len(slots), len(entries) % len(slots)
+        entries += (0,) * (1 + twice.index(i, r) - r)
         eps = wti = phi = 0
         up = side = down = None
         for k in range(len(entries) - 1, -1, -1):

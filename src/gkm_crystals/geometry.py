@@ -129,7 +129,7 @@ def moment_map(rep: QuiverRep, i: int) -> RatMat:
     # [B_hbar ...] side by side times [sign(h) B_h ...] stacked, over the arrows h leaving i.
     out = [(k, 1 if a.in_omega else -1) for k, a in enumerate(rep.quiver.arrows) if a.source == i]
     d, width = rep.dims[i - 1], sum(rep.mats[k].nrows for k, _ in out)
-    side = tuple(sum((rep.mats[rep.quiver.partner(k)].entries[r] for k, _ in out), ()) for r in range(d))
+    side = tuple(tuple(x for k, _ in out for x in rep.mats[rep.quiver.partner(k)].entries[r]) for r in range(d))
     stack = tuple(tuple(sign * x for x in row) for k, sign in out for row in rep.mats[k].entries)
     return RatMat(d, width, side) @ RatMat(width, d, stack)
 
@@ -264,9 +264,10 @@ def _triangularize(ops: list[RatMat], upper: list[list[int]], lower: list[list[i
     joint eigenvector of the ops on span(upper)/span(lower) (ops in order,
     roots ascending), adds its lift to the flag, and drops from the
     complement the row at its last nonzero coordinate.  Roots are chosen one
-    op at a time, and a prefix of choices whose joint kernel is zero is
-    dropped: the surviving kernels form a direct sum, so at most
-    dim(quotient) prefixes survive each op, and the first survivor is the
+    op at a time.  A prefix of choices is the RREF of its shifted ops, at most
+    q = dim(quotient) rows, dropped at rank q, where its joint kernel is zero:
+    the surviving kernels form a direct sum, so at most q prefixes survive
+    each op, and `nullspace` runs once per step, on the first survivor, the
     first combination in product order.  Returns None when no rational
     ordering exists.  One candidate suffices: an invariant complete flag of
     a space maps onto one of its quotient by every invariant line, so if
@@ -277,19 +278,19 @@ def _triangularize(ops: list[RatMat], upper: list[list[int]], lower: list[list[i
     if not ops:
         return [_witness(v, v) for v in comp]
     grown, order = list(lower), []
-    while comp:
+    while q := len(comp):
         # With nothing below and nothing dropped yet, comp is the unit basis, on which each op is itself.
-        induced = ops if len(comp) == width else _induced_ops(ops, comp, grown, width)
-        prefixes: list[tuple[list[list[int]], list[list[int]]]] = [([], [])]  # (stacked rows, joint kernel)
+        induced = ops if q == width else _induced_ops(ops, comp, grown, width)
+        prefixes: list[list[list[int]]] = [[]]  # the RREF rows of each surviving prefix, at most q of them
         for t in induced:
-            # q D (t - p/q): the int rows of t minus a root, built once per root and shared by every prefix
+            # den D (t - num/den): t's int rows minus a root, built once per root and shared by every prefix
             shifts = [[[lam.denominator * x - lam.numerator * t.scale * (a == b) for b, x in enumerate(row)]
                        for a, row in enumerate(t.int_rows)] for lam in rational_roots(_charpoly(t))]
-            extended = (rows + shifted for rows, _ in prefixes for shifted in shifts)
-            prefixes = [(rows, kernel) for rows in extended if (kernel := nullspace(rows, len(comp)))]
+            extended = (EchelonBasis(q, rows + shifted) for rows in prefixes for shifted in shifts)
+            prefixes = [basis.rows for basis in extended if len(basis) < q]  # rank below q: a nonzero kernel
             if not prefixes:
                 return None
-        w = prefixes[0][1][0]
+        w = nullspace(prefixes[0], q)[0]
         last = max(a for a, x in enumerate(w) if x)  # its free column, where the canonical vector reads 1
         grown.append([sum(x * v[j] for x, v in zip(w, comp)) for j in range(width)])
         order.append(_witness(grown[-1], comp.pop(last)))  # no other complement row is nonzero at its pivot
@@ -311,7 +312,7 @@ def flag_exists(rep: QuiverRep) -> FlagWitness | None:
         raise InputError(f"total dimension {total} exceeds the bound {DEFAULT_FLAG_DIM_BOUND}")
     nv = rep.quiver.vertex_count
     weak = rep.quiver.weak_positions()
-    strict = [k for k in range(len(rep.quiver.arrows)) if k not in weak]
+    strict = sorted(set(range(len(rep.quiver.arrows))).difference(weak))
     closing = [(a.source - 1, a.target - 1, rep.mats[k]) for k, a in enumerate(rep.quiver.arrows)]
 
     full = [EchelonBasis(d, [_unit(k, d) for k in range(d)]) for d in rep.dims]

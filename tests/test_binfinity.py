@@ -1,6 +1,7 @@
 """Coordinate-string realization of B(inf): operators, embeddings, transport."""
 
 import re
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -126,6 +127,23 @@ def test_extension_rule_pads_zero_slots():
     # lowering at index 2 must skip the unused index-1 slot
     assert c.f(2, hw).entries == (0, 1)
     assert c.key(c.f(2, hw)) == "0-1"
+
+
+def test_tables_stay_linear_in_the_period():
+    # A period of 3001 entries: the tables of a realization are linear in the
+    # period, so building one and reading a few statistics stays under 2 MB.
+    def stats(c):
+        b = c.f(1, c.f(2, c.f(1, c.highest_weight())))
+        return [(c.eps(i, b), c.phi(i, b)) for i in (1, 2)]
+
+    cyclic = stats(BInfinityCrystal(A2))
+    tracemalloc.start()
+    try:
+        assert stats(BInfinityCrystal(A2, IotaSequence((1,) + (2,) * 3000))) == cyclic
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_lowering_is_total():

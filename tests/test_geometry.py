@@ -416,6 +416,25 @@ def test_flag_search_stops_after_one_candidate(monkeypatch):
     assert len(calls) == 2
 
 
+def test_flag_search_runs_one_nullspace_per_step(monkeypatch):
+    # 200 zero loops, then diag(1, 2).  A zero loop's one root adds only zero
+    # rows to a prefix, whose RREF stays empty; the kernel is taken once per
+    # flag step, on at most 2 rows, not once per loop.
+    calls = []
+    real_nullspace = geometry.nullspace
+
+    def counting(rows, width):
+        calls.append(rows)
+        return real_nullspace(rows, width)
+
+    monkeypatch.setattr(geometry, "nullspace", counting)
+    ops = [RatMat.from_rows([[0, 0], [0, 0]])] * 200 + [RatMat.from_rows([[1, 0], [0, 2]])]
+    order = geometry._triangularize(ops, [[1, 0], [0, 1]], [], 2)
+    assert order == [(Q(1), Q(0)), (Q(0), Q(1))]
+    assert len(calls) == 2
+    assert all(len(rows) <= 2 for rows in calls)
+
+
 def test_flag_takes_weak_loops_in_arrow_order():
     # vertex 1 carries the weak loops h5 = diag(1, 2) and h9 = diag(4, 3).  In
     # arrow order the first joint eigenvalue pair with a common eigenvector
