@@ -5,7 +5,7 @@ edge cases stay well defined; it has only what the geometry calls: its
 int form, images of int vectors, the transpose, products and a zero test.
 Its entries are `Fraction`s (only int and Fraction entries are accepted).
 Its int form, built on first use, is D*M for the least D > 0 that makes
-it integral, kept by rows and by columns; a transpose shares it.  A
+it integral, kept by rows and by columns; every transpose shares it.  A
 subspace is an `EchelonBasis`: its reduced row echelon basis, grown one
 vector at a time, which answers membership and, with rows augmented by
 unit vectors, coordinates.  Because that basis is unique, `rref` and
@@ -70,7 +70,7 @@ class RatMat:
     nrows: int
     ncols: int
     entries: tuple[Vec, ...]
-    # Results kept per matrix once computed: its transpose here, its characteristic polynomial in the geometry.
+    # Results kept per matrix once computed: its characteristic polynomial, in the geometry.
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -113,12 +113,9 @@ class RatMat:
         return [sum(row[j] * x for j, x in nz) for row in self.int_rows]
 
     def transpose(self) -> "RatMat":
-        """The transpose, built once per matrix; its int form is this one's, read by columns."""
-        t = self.memo.get("transpose")
-        if t is None:
-            t = RatMat(self.ncols, self.nrows, tuple(tuple(r[c] for r in self.entries) for c in range(self.ncols)))
-            t.__dict__.update(_scaled=(self.scale, self.int_cols), int_cols=self.int_rows)
-            self.memo["transpose"] = t
+        """The transpose; its int form is this one's, read by columns, so nothing is cleared again."""
+        t = RatMat(self.ncols, self.nrows, tuple(tuple(r[c] for r in self.entries) for c in range(self.ncols)))
+        t.__dict__.update(_scaled=(self.scale, self.int_cols), int_cols=self.int_rows)
         return t
 
     def __matmul__(self, other: "RatMat") -> "RatMat":

@@ -7,8 +7,8 @@ the graded-complete-flag condition (strict arrows must step the flag
 down, weak loops must preserve it), regular semisimplicity of the weak
 loop matrices, and the crystal statistics eps_i and eps*_i: eps_i from the
 loop-stable closure of the incoming arrow images, eps*_i from the same
-closure on the adjoint, checked against the largest loop-stable subspace
-killed by the outgoing arrows.
+closure on the adjoint, read from the arrows at i alone and checked
+against the largest loop-stable subspace killed by the outgoing arrows.
 
 The span work runs on int vectors: closures, the flag filtration, the
 flag search, eps, eps* and the flag check pass primitive int vectors
@@ -113,19 +113,14 @@ def load_rep(source) -> QuiverRep:
     return QuiverRep(quiver, tuple(dims), tuple(mats))
 
 
-def star_rep(rep: QuiverRep) -> QuiverRep:
-    """Adjoint representation: (B*)_h is the transpose of B along the involution.
-
-    Each transpose is built once per matrix and shares that matrix's int form.
-    """
-    mats = tuple(rep.mats[rep.quiver.partner(k)].transpose() for k in range(len(rep.mats)))
-    return QuiverRep(rep.quiver, rep.dims, mats)
+def _check_vertex(rep: QuiverRep, i: int) -> None:
+    if type(i) is not int or not 1 <= i <= rep.quiver.vertex_count:  # bool is an int subclass
+        raise InputError(f"vertex {i!r} out of range")
 
 
 def moment_map(rep: QuiverRep, i: int) -> RatMat:
     """sum over arrows h leaving i of sign(h) * B_hbar B_h, an endomorphism of V_i."""
-    if not 1 <= i <= rep.quiver.vertex_count:
-        raise InputError(f"vertex {i} out of range")
+    _check_vertex(rep, i)
     # [B_hbar ...] side by side times [sign(h) B_h ...] stacked, over the arrows h leaving i.
     out = [(k, 1 if a.in_omega else -1) for k, a in enumerate(rep.quiver.arrows) if a.source == i]
     d, width = rep.dims[i - 1], sum(rep.mats[k].nrows for k, _ in out)
@@ -179,8 +174,7 @@ def _closure(spaces: list[EchelonBasis], maps) -> list[EchelonBasis]:
 
 def eps_point(rep: QuiverRep, i: int) -> int:
     """Codimension in V_i of the loop-stable closure of the non-loop incoming images."""
-    if not 1 <= i <= rep.quiver.vertex_count:
-        raise InputError(f"vertex {i} out of range")
+    _check_vertex(rep, i)
     d = rep.dims[i - 1]
     cols = [c for k, a in enumerate(rep.quiver.arrows) if a.target == i and a.source != i for c in rep.mats[k].int_cols]
     loops = [(0, 0, rep.mats[k]) for k in _loop_positions_at(rep, i)]
@@ -190,16 +184,20 @@ def eps_point(rep: QuiverRep, i: int) -> int:
 def eps_star_point(rep: QuiverRep, i: int) -> int:
     """eps_i of the adjoint representation, cross-checked by a kernel iteration.
 
+    On the adjoint, the non-loop arrows into i are the transposes of the
+    B_h leaving i, with the row spaces of the B_h as column spaces, and the
+    loops at i are the transposes of the loops at i; no other arrow is read.
     The second route starts from K, the intersection of ker B_h over the
     non-loop arrows h leaving i, and replaces K by its vectors that every
     loop T at i maps back into K, until the dimension stops falling.  The
     limit is the largest loop-stable subspace killed by those arrows.
     Disagreement raises InternalInconsistencyError.
     """
-    primary = eps_point(star_rep(rep), i)
+    _check_vertex(rep, i)
     d = rep.dims[i - 1]
     rows = [r for k, a in enumerate(rep.quiver.arrows) if a.source == i and a.target != i for r in rep.mats[k].int_rows]
     loops = [rep.mats[k].transpose() for k in _loop_positions_at(rep, i)]
+    primary = d - len(_closure([EchelonBasis(d, rows)], [(0, 0, t) for t in loops])[0])
     space = nullspace(rows, d)
     while space:
         annihilator = nullspace(space, d)  # T x lies in K exactly when a T x = 0 for each row a
@@ -360,7 +358,7 @@ def verify_flag(rep: QuiverRep, witness: FlagWitness) -> list[str]:
     if len(witness.steps) != rep.total_dim():
         findings.append(f"{len(witness.steps)} steps for total dimension {rep.total_dim()}")
     for idx, (vertex, vec) in enumerate(witness.steps):
-        if not 1 <= vertex <= nv or len(vec) != rep.dims[vertex - 1]:
+        if type(vertex) is not int or not 1 <= vertex <= nv or len(vec) != rep.dims[vertex - 1]:
             findings.append(f"step {idx}: bad vertex or vector length")
             return findings
         u, _ = _clear(vec)

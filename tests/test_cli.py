@@ -12,6 +12,7 @@ from gkm_crystals.binfinity import BInfinityCrystal
 from gkm_crystals.cartan import MAX_RANK
 from gkm_crystals.crystal import Violation
 from gkm_crystals.errors import InexactDivisionError, InternalInconsistencyError
+from gkm_crystals.exactlin import EchelonBasis, RatMat
 
 EXB = '{"matrix": [[0, -1], [-1, 2]]}'
 TWO_IMAG = '{"matrix": [[0, -1], [-1, 0]]}'
@@ -338,11 +339,13 @@ def test_verify_iota_check_uses_another_sequence(files, capsys, monkeypatch, iot
     assert alt.iota.period == alt_period
 
 
-def _one_line_internal_error(capsys) -> bool:
+def _one_line_internal_error(capsys) -> str:
+    """The run's one stderr line when it is an internal error and stdout is empty, else ""."""
     captured = capsys.readouterr()
     err = captured.err
-    return (captured.out == "" and err.startswith("internal error:")
-            and len(err.strip().splitlines()) == 1 and "Traceback" not in err)
+    one_line = (captured.out == "" and err.startswith("internal error:")
+                and len(err.strip().splitlines()) == 1 and "Traceback" not in err)
+    return err if one_line else ""
 
 
 def test_dims_tripwire_exits_four(files, capsys, monkeypatch):
@@ -397,11 +400,39 @@ def test_verify_enumerates_once(files, capsys, monkeypatch):
 
 
 def test_eps_star_disagreement_exits_four(files, capsys, monkeypatch):
-    # The adjoint closure reads one more than the kernel iteration.
-    real_eps_point = geometry.eps_point
-    monkeypatch.setattr(geometry, "eps_point", lambda rep, i: real_eps_point(rep, i) + 1)
+    # A closure of one space (eps and eps* take one; the flag filtration takes one per vertex)
+    # loses a row, so at v2 the adjoint closure reads one more than the kernel iteration.
+    real_closure = geometry._closure
+
+    def one_row_short(spaces, maps):
+        closed = real_closure(spaces, maps)
+        return [EchelonBasis(s.width, s.rows[1:]) for s in closed] if len(closed) == 1 else closed
+
+    monkeypatch.setattr(geometry, "_closure", one_row_short)
     assert cli.main(["geom", "--rep", files["rep.json"]]) == 4
-    assert _one_line_internal_error(capsys)
+    assert "eps*_2: adjoint closure gives 1, kernel iteration gives 0" in _one_line_internal_error(capsys)
+
+
+def test_geom_transposes_each_loop_once(tmp_path, capsys, monkeypatch):
+    # eps* reads only the arrows at its vertex: each loop is transposed once, and no other arrow is.
+    n, dims = 4, [2, 1, 2, 1]
+    omega = [[v, v] for v in range(1, n + 1)] + [[v, v + 1] for v in range(1, n)]
+    arrows = omega + [[t, s] for s, t in omega]
+    mats = {f"h{k}": [[(k + r + c) % 3 for c in range(dims[s - 1])] for r in range(dims[t - 1])]
+            for k, (s, t) in enumerate(arrows)}
+    path = tmp_path / "loops_rep.json"
+    path.write_text(json.dumps({"quiver": {"vertices": n, "omega_arrows": omega}, "dims": dims, "mats": mats}))
+    calls = []
+    real_transpose = RatMat.transpose
+
+    def counting(m):
+        calls.append(m)
+        return real_transpose(m)
+
+    monkeypatch.setattr(RatMat, "transpose", counting)
+    assert cli.main(["geom", "--rep", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "(eps, eps*) = v1:(0,0) v2:(0,0) v3:(0,0) v4:(0,0)"
+    assert len(calls) == len({id(m) for m in calls}) == sum(s == t for s, t in arrows) == 2 * n
 
 
 def test_failed_run_writes_no_partial_report(tmp_path, capsys):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gkm_crystals import geometry
 from gkm_crystals.cartan import Quiver
 from gkm_crystals.errors import InputError, InternalInconsistencyError
-from gkm_crystals.exactlin import RatMat, charpoly, rational_roots
+from gkm_crystals.exactlin import EchelonBasis, RatMat, charpoly, rational_roots
 from gkm_crystals.geometry import (
     FlagWitness,
     QuiverRep,
@@ -24,7 +24,6 @@ from gkm_crystals.geometry import (
     moment_map,
     moment_map_check,
     regular_semisimple_verdicts,
-    star_rep,
     verify_flag,
 )
 
@@ -225,14 +224,6 @@ def test_shape_mismatch_rejected():
                                         _scalar(0, 2), _scalar(0, 1)))
 
 
-def test_star_rep_transposes_partners():
-    rep = one_loop_rep([[0, 1], [0, 0]], [[0, 0], [0, 0]])
-    star = star_rep(rep)
-    assert star.mats[1].entries == ((Q(0), Q(0)), (Q(1), Q(0)))
-    assert star.mats[0].is_zero()
-    assert star_rep(star).mats == rep.mats
-
-
 def test_moment_map_vanishing():
     assert moment_map_check(pinned_rep())
     # identity loop commutes with itself
@@ -242,10 +233,12 @@ def test_moment_map_vanishing():
     assert moment_map(bad, 1).entries == ((Q(-1), Q(0)), (Q(0), Q(1)))
 
 
-@pytest.mark.parametrize("i", [0, 3, -1])
+@pytest.mark.parametrize("i", [0, 3, -1, True, 1.5, 2.0])
 def test_moment_map_rejects_vertex_out_of_range(i):
-    with pytest.raises(InputError):
-        moment_map(pinned_rep(), i)
+    # eps and eps* share the check: a vertex is an int in range, and True, a bool, is not one
+    for statistic in (moment_map, eps_point, eps_star_point):
+        with pytest.raises(InputError, match=rf"^vertex {re.escape(repr(i))} out of range$"):
+            statistic(pinned_rep(), i)
 
 
 def _reference_moment_map(rep: QuiverRep, i: int) -> tuple[tuple[Q, ...], ...]:
@@ -510,10 +503,13 @@ def test_flag_found_on_large_spectra(seed):
 
 
 def test_eps_star_tripwire_fires_when_the_routes_disagree(monkeypatch):
-    real_eps_point = geometry.eps_point
-    monkeypatch.setattr(geometry, "eps_point", lambda rep, i: real_eps_point(rep, i) + 1)
-    with pytest.raises(InternalInconsistencyError):
-        eps_star_point(pinned_rep(), 1)
+    # Every closure loses a row, so at v2 (eps* = 0) the adjoint closure reads one more than the kernel iteration.
+    real_closure = geometry._closure
+    monkeypatch.setattr(geometry, "_closure", lambda spaces, maps: [
+        EchelonBasis(s.width, s.rows[1:]) for s in real_closure(spaces, maps)])
+    message = r"^eps\*_2: adjoint closure gives 1, kernel iteration gives 0$"
+    with pytest.raises(InternalInconsistencyError, match=message):
+        eps_star_point(pinned_rep(), 2)
 
 
 def _loop_algebra_kernel_dim(rep: QuiverRep, i: int) -> int:
@@ -779,7 +775,7 @@ def _verify_flag_every_piece(rep: QuiverRep, witness: FlagWitness) -> list[str]:
     if len(witness.steps) != rep.total_dim():
         findings.append(f"{len(witness.steps)} steps for total dimension {rep.total_dim()}")
     for idx, (vertex, vec) in enumerate(witness.steps):
-        if not 1 <= vertex <= nv or len(vec) != rep.dims[vertex - 1]:
+        if type(vertex) is not int or not 1 <= vertex <= nv or len(vec) != rep.dims[vertex - 1]:
             findings.append(f"step {idx}: bad vertex or vector length")
             return findings
         prev = list(acc)  # the flag before this step; the grown piece gets a new basis
@@ -890,6 +886,10 @@ def test_verify_flag_finding_texts():
         (rep, (e1, e2), ["2 steps for total dimension 3", "flag does not exhaust vertex 2"]),
         (rep, (e1, (2, (Q(1), Q(0))), f1), ["step 1: bad vertex or vector length"]),
         (rep, (e1, (3, (Q(1),)), f1), ["step 1: bad vertex or vector length"]),
+        # a vertex is an int: neither a float, a string nor a bool stands for vertex 1
+        (rep, (e1, (1.0, e2[1]), f1), ["step 1: bad vertex or vector length"]),
+        (rep, (e1, ("1", e2[1]), f1), ["step 1: bad vertex or vector length"]),
+        (rep, (e1, (True, e2[1]), f1), ["step 1: bad vertex or vector length"]),
         (rep, (e1, e1, f1), ["step 1: vector does not increase the flag"]),
         (rep, (e1, e2, f1, f1), ["4 steps for total dimension 3", "step 3: vector does not increase the flag"]),
         (rep, (f1, e1, e2), ["step 0: strict arrow h3 leaves the required piece"]),
