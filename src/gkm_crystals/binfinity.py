@@ -12,15 +12,13 @@ coordinate is nonzero (the empty string is the highest-weight element).
 
 The statistics and both operators at index i come from one pass over the
 string from the head outward, reading tables of the matrix rows and the
-iota period built once per realization.  The pass reads the string
-extended by zero coordinates up to the first i-slot lying head-side of
-every stored coordinate (read first, the zeros change no statistic),
-folds the tensor statistics and asks the binary tensor routing rule
+iota period built once per realization.  The pass reads the string as it
+is, folds the tensor statistics and asks the binary tensor routing rule
 (`tensor.route`) for both directions at every factor in an i-slot; an
 operator acts on the outermost factor at which the rule does not route
-head-side.  With that extension the lowering operator always lands on a
-factor, never on the head, so f_i is total and the realization is closed
-under it.
+head-side.  Lowering starts at the first i-slot beyond the string, a zero
+factor that changes no statistic, so f_i always lands on a factor, never
+on the head: it is total and the realization is closed under it.
 
 Each realization keeps one record per string it has answered for, with
 four slots per index that the one pass fills together once its tripwires
@@ -40,7 +38,7 @@ Duke Math. J. 71, 1993; Kashiwara-Saito, Duke Math. J. 89, 1997).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cartan import BorcherdsCartanDatum, Weight
 from .crystal import Crystal, Violation, check_strict_morphism, reachable
@@ -48,7 +46,6 @@ from .elementary import ElementaryCrystal, ElementaryElement
 from .errors import InputError, InternalInconsistencyError
 from .tensor import TensorCrystal, TensorElement, route
 
-_UNSET = object()  # a record slot not yet computed
 _GAP = object()  # an e_i slot whose action falls in the annihilation gap, not yet logged
 
 
@@ -96,9 +93,9 @@ class IotaSequence:
 
 @dataclass(frozen=True)
 class BInfElement:
-    """Canonical coordinate string over a fixed iota sequence."""
+    """Canonical coordinate string over a fixed iota sequence; its hash reads the string alone."""
 
-    iota: IotaSequence
+    iota: IotaSequence = field(hash=False)
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -112,15 +109,16 @@ class BInfinityCrystal(Crystal):
     """B(inf) realized on coordinate strings along a fixed iota sequence.
 
     Realizations over one datum form a family: `realization_with` returns
-    one cached member per iota, and all members share one `gap_events`
-    log.  It is a dict used as an ordered set: its keys are the distinct
-    (element key, index) pairs at which the imaginary annihilation gap
-    fired, in first-firing order, so the memos cannot change it.
+    one cached member per iota, each member keeps its i-first members in
+    `_firsts`, and all members share one `gap_events` log.  It is a dict
+    used as an ordered set: its keys are the distinct (element key, index)
+    pairs at which the imaginary annihilation gap fired, in first-firing
+    order, so the memos cannot change it.
 
     Each realization keeps one record per coordinate string it has
     answered for: the flat list [element, eps_1, phi_1, e_1, f_1, ...,
-    eps_n, phi_n, e_n, f_n], with `_UNSET` in the slots of an index not
-    yet scanned.  `_fill` writes an index's four slots together from one
+    eps_n, phi_n, e_n, f_n], with None in the slots of an index not yet
+    scanned.  `_fill` writes an index's four slots together from one
     `_scan`, after its tripwires have passed, or writes none.  A real eps
     slot holds ~eps, a negative int, until the raising-string check has
     passed and eps from then on; an imaginary one holds 0, checked by the
@@ -138,9 +136,10 @@ class BInfinityCrystal(Crystal):
         self.iota.validate_for(n)
         self.gap_events: dict[tuple[str, int], None] = {}
         self._family: dict[IotaSequence, BInfinityCrystal] = {self.iota: self}
-        self._images: dict[IotaSequence, dict[tuple[int, ...], BInfElement]] = {}  # per target iota
+        self._firsts: dict[int, BInfinityCrystal] = {}  # the i-first family member per index i
+        self._images: dict[BInfinityCrystal, dict[tuple[int, ...], BInfElement]] = {}  # per target realization
         self._records: dict[tuple[int, ...], list] = {}  # one record per string, see the class docstring
-        self._unset_slots = [_UNSET] * (4 * n)
+        self._blank_slots = [None] * (4 * n)
         # Per index i: real flag, a_ii, a(i, iota_p) and [iota_p == i] per period slot p, and the period
         # twice over, one tuple for every index, where `_scan` finds the first i-slot beyond a string.
         rows, period = datum.matrix, self.iota.period
@@ -159,13 +158,6 @@ class BInfinityCrystal(Crystal):
         if b.iota is not self.iota and b.iota != self.iota:
             raise InputError("element belongs to a realization with a different iota sequence")
 
-    def _record(self, entries: tuple[int, ...], b: BInfElement | None = None) -> list:
-        """The record of a string, made on first use with b (or a new element) in slot 0."""
-        rec = self._records.get(entries)
-        if rec is None:
-            rec = self._records[entries] = [BInfElement(self.iota, entries) if b is None else b, *self._unset_slots]
-        return rec
-
     def key(self, b: BInfElement) -> str:
         return "-".join(map(str, b.entries)) if b.entries else "hw"
 
@@ -181,20 +173,20 @@ class BInfinityCrystal(Crystal):
     def _scan(self, i: int, entries):
         """(eps_i, <h_i, wt>, phi_i, up, side, down) of a string, in one pass from the head.
 
-        The pass reads the string padded with zeros up to the first i-slot
-        beyond it (the pad is read first and leaves every statistic at 0),
-        folds the tensor statistics factor by factor and asks `route` for
-        both directions at every i-slot (off the i-slots eps_i is -inf, so
-        both actions route head-side there).  up is the outermost factor at
-        which raising does not route head-side and side the answer there,
-        both None when raising routes head-side at every factor; down is the
-        outermost factor at which lowering does not, None if there is none.
+        The pass reads the string as it is, folds the tensor statistics
+        factor by factor and asks `route` for both directions at every i-slot
+        (off the i-slots eps_i is -inf, so both actions route head-side there).
+        up is the outermost factor at which raising does not route head-side
+        and side the answer there, both None when raising routes head-side at
+        every factor; down is the outermost factor at which lowering does not,
+        None if there is none.  It starts at the first i-slot beyond the
+        string, a zero factor read with every statistic at 0.
         """
         real, aii, cols, slots, twice = self._tables[i]
         plen, r = len(slots), len(entries) % len(slots)
-        entries += (0,) * (1 + twice.index(i, r) - r)
+        down = None if route(False, real, aii, 0, 0) else len(entries) + twice.index(i, r) - r
         eps = wti = phi = 0
-        up = side = down = None
+        up = side = None
         for k in range(len(entries) - 1, -1, -1):
             p = k % plen
             wf = -entries[k] * cols[p]
@@ -216,18 +208,22 @@ class BInfinityCrystal(Crystal):
     def _fill(self, i: int, b: BInfElement) -> list:
         """b's record with index i filled, by one scan on first use; every statistic and operator reads it here.
 
+        b's realization and the index are checked before any record is read.
         The scan's tripwires (phi = eps + <h_i, wt>, an imaginary eps of 0, a
         lowering that lands on a factor) run before anything is written, so a
-        failed one memoizes nothing and trips again on the next request.
-        Then all four slots are written: ~eps at a real index (negative until
-        `_stats` has checked it) and 0 at an imaginary one, phi, the e landing
-        (the factor e_i lowers; None where e_i vanishes, at the head or a
-        level-0 factor; `_GAP` in the annihilation gap) and the f landing.
+        failed one memoizes nothing and trips again on the next request.  Then
+        all four slots are written, in a new record [b, None, ...] if b has
+        none: ~eps at a real index (negative until `_stats` has checked it)
+        and 0 at an imaginary one, phi, the e landing (the factor e_i lowers;
+        None where e_i vanishes, at the head or a level-0 factor; `_GAP` in
+        the annihilation gap) and the f landing.
         """
+        self._own(b)
+        self.datum.check_index(i)
         k = 4 * i - 3  # the eps_i slot of a record; phi_i, e_i and f_i follow it
         entries = b.entries
         rec = self._records.get(entries)
-        if rec is not None and rec[k] is not _UNSET:
+        if rec is not None and rec[k] is not None:
             return rec
         eps, wti, phi, up, side, down = self._scan(i, entries)
         real = self._tables[i][0]
@@ -240,10 +236,10 @@ class BInfinityCrystal(Crystal):
             raise InternalInconsistencyError("lowering descent reached the head despite slot extension")
         if up is not None and side is None:
             up = _GAP  # eps < phi <= eps - a_ii: annihilation gap
-        elif up is None or up >= len(entries) or entries[up] == 0:
+        elif up is None or entries[up] == 0:
             up = None  # raising the head or a level-0 factor vanishes
         if rec is None:
-            rec = self._record(entries, b)
+            rec = self._records[entries] = [b, *self._blank_slots]
         rec[k:k + 4] = ~eps if real else 0, phi, up, down
         return rec
 
@@ -256,10 +252,8 @@ class BInfinityCrystal(Crystal):
         is a loop that stops at the first checked element or at a vanishing
         e_i, and eps is marked checked only once the whole walk has passed.
         """
-        self._own(b)
-        self.datum.check_index(i)
-        k = 4 * i - 3
         rec = x = self._fill(i, b)
+        k = 4 * i - 3
         chain = []  # records whose eps awaits the check
         while x[k] < 0:
             chain.append(x)
@@ -292,17 +286,18 @@ class BInfinityCrystal(Crystal):
         The slot holds the landing factor from b's scan (see `_fill`) until
         the image is first asked for, and the image from then on.
         """
-        self._own(b)
-        self.datum.check_index(i)
         rec = self._fill(i, b)
         slot = 4 * i - 1 if raising else 4 * i
         landing = rec[slot]
         if type(landing) is int:  # build the image
-            entries = [*b.entries, *[0] * (landing + 1 - len(b.entries))]  # f may land in the pad
+            entries = [*b.entries, *[0] * (landing + 1 - len(b.entries))]  # f may land beyond the string
             entries[landing] += -1 if raising else 1
             while entries and entries[-1] == 0:
                 entries.pop()
-            image = self._record(tuple(entries))[0]
+            entries = tuple(entries)
+            if entries not in self._records:
+                self._records[entries] = [BInfElement(self.iota, entries), *self._blank_slots]
+            image = self._records[entries][0]
         elif landing is _GAP:
             self.gap_events[self.key(b), i] = None
             image = None
@@ -363,7 +358,7 @@ class BInfinityCrystal(Crystal):
         self._own(b)
         if target.datum != self.datum:
             raise InputError("target realization lives over a different datum")
-        images = self._images.setdefault(target.iota, {})
+        images = self._images.setdefault(target, {})
         steps, x = self._walk(b, images)
         z = images[x.entries] if x.entries else target.highest_weight()
         for j, x in reversed(steps):
@@ -373,7 +368,9 @@ class BInfinityCrystal(Crystal):
     def _i_first(self, b: BInfElement, i: int) -> tuple["BInfinityCrystal", BInfElement, int]:
         """The realization over the period rotated to its first i, b transported there, and its first coordinate."""
         self.datum.check_index(i)
-        first = self.realization_with(self.iota.rotated(self.iota.period.index(i)))
+        first = self._firsts.get(i)
+        if first is None:
+            first = self._firsts[i] = self.realization_with(self.iota.rotated(self.iota.period.index(i)))
         t = self.transport(b, first)
         return first, t, t.entries[0] if t.entries else 0
 

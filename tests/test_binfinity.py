@@ -8,7 +8,6 @@ import pytest
 
 from gkm_crystals import cli
 from gkm_crystals.binfinity import (
-    _UNSET,
     BInfElement,
     BInfinityCrystal,
     IotaSequence,
@@ -481,7 +480,7 @@ def test_imaginary_eps_trips(monkeypatch):
     for _ in range(2):  # the failed check memoizes nothing, so asking again trips again
         with pytest.raises(InternalInconsistencyError, match="imaginary eps_1 = 1"):
             c.eps(1, b)
-    assert c._records[b.entries][1:5] == [_UNSET] * 4
+    assert c._records[b.entries][1:5] == [None] * 4
 
 
 @pytest.mark.parametrize("op", ["e", "f", "eps", "phi"])
@@ -544,7 +543,7 @@ def test_lowering_reaching_the_head_trips_and_memoizes_nothing(monkeypatch):
         for _ in range(2):
             with pytest.raises(InternalInconsistencyError, match="lowering descent reached the head"):
                 op(1, b)
-    assert c._records[b.entries][1:5] == [_UNSET] * 4
+    assert c._records[b.entries][1:5] == [None] * 4
     monkeypatch.undo()  # with the fault gone, f scans again and acts
     assert c.f(1, b) == sl2_string(3)
 

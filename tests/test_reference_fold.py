@@ -101,6 +101,8 @@ CASES = {
     "gap-12": (GAP, (1, 2)), "gap-21": (GAP, (2, 1)), "gap-121": (GAP, (1, 2, 1)),
     "two-imaginary": ([[0, -1], [-1, 0]], (1, 2)), "affine-A1": ([[2, -2], [-2, 2]], (1, 2)),
     "zero": ([[0]], (1,)), "minus-two": ([[-2]], (1,)),
+    # the first i-slot beyond a string lies far off, or wraps around the period
+    "A2-1-2x40": ([[2, -1], [-1, 2]], (1,) + (2,) * 40), "gap-2x40-1": (GAP, (2,) * 40 + (1,)),
 }
 
 

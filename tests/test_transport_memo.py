@@ -8,7 +8,7 @@ from test_properties import PROPERTY_SETTINGS, data_and_periods
 
 from gkm_crystals.binfinity import BInfElement, BInfinityCrystal, IotaSequence, transport_isomorphism_findings
 from gkm_crystals.cartan import validate_datum
-from gkm_crystals.crystal import check_strict_morphism
+from gkm_crystals.crystal import check_strict_morphism, generate_graph
 from gkm_crystals.elementary import ElementaryElement
 from gkm_crystals.errors import InternalInconsistencyError
 
@@ -24,6 +24,7 @@ MATRICES = [
 ]
 DEPTH = 4
 M3 = validate_datum([[2, -1, 0], [-1, 0, -1], [0, -1, 2]])
+A2 = validate_datum([[2, -1], [-1, 2]])
 
 
 def iotas(n):
@@ -116,6 +117,29 @@ def test_a_verify_pass_builds_only_rotations_of_the_period():
     assert transport_isomorphism_findings(c, reverse, elements) == []
     rotations = {IotaSequence((1, 2, 3)), IotaSequence((2, 3, 1)), IotaSequence((3, 1, 2))}
     assert set(c._family) == rotations | {reverse.iota}
+
+
+def test_graph_hashes_no_iota_sequence(monkeypatch):
+    # An element's hash reads its string alone, so a long period is never hashed per element.
+    c = BInfinityCrystal(A2, IotaSequence((1, 2) * 50 + (1,)))
+    hashes = []
+    original = IotaSequence.__hash__
+    monkeypatch.setattr(IotaSequence, "__hash__", lambda self: hashes.append(self) or original(self))
+    assert len(generate_graph(c, c.highest_weight(), 8).nodes) > 1
+    assert hashes == []
+
+
+def test_psi_checks_rotate_the_period_once_per_index(monkeypatch):
+    # Each realization binds its i-first member once per index, so psi_embed does not rotate the period per call.
+    c = BInfinityCrystal(A2, IotaSequence((1, 2, 1)))
+    elements = c.enumerate_to_depth(4)[0]
+    rotations = []
+    original = IotaSequence.rotated
+    monkeypatch.setattr(IotaSequence, "rotated", lambda self, k: rotations.append(k) or original(self, k))
+    for i in (1, 2):
+        psi, target = c.psi_morphism(i)
+        assert check_strict_morphism(psi, elements, c, target) == []
+    assert len(rotations) <= 4
 
 
 # The two public walks from b: a strip to the head and a transport to the reversed realization.
